@@ -11,11 +11,12 @@ de-noising SVD per donor per unit with no reuse — and the fast path
 must beat it by at least 10x wall-clock.
 
 The timing claim rests on a parity claim, asserted first: the batched
-engine's table is row-for-row identical to the unbatched fits, serial
-and ``n_jobs=4``, on the identical frame.  (Scalar and columnar
-*generation* consume noise streams in different orders, so the
-generation halves are compared by wall-clock only — their fit-layer
-parity is covered where the inputs are bit-identical.)
+engine's table is row-for-row identical to the oracle (every planned
+unit fitted with no prefactor, i.e. the private SVD inside
+``placebo_test``) and to the ``n_jobs=4`` run, on the identical frame.
+(Scalar and columnar *generation* consume noise streams in different
+orders, so the generation halves are compared by wall-clock only —
+their fit-layer parity is covered where the inputs are bit-identical.)
 
 Smoke mode (``ANALYSIS_BENCH_SMOKE=1``, used by CI's scaling job) runs
 a reduced scenario and checks the parity assertions and the arena
@@ -39,6 +40,12 @@ from repro.pipeline import rowwise, run_ixp_study
 from repro.pipeline.aggregate import rtt_panel
 from repro.pipeline.crossing import assign_treatment
 from repro.pipeline.shm import SharedFrameArena, live_arena_blocks
+from repro.pipeline.study import (
+    StudyRow,
+    _analyse_unit,
+    _UnitTask,
+    prepare_unit_plan,
+)
 from repro.synthcontrol import robust_synthetic_control, select_donors
 
 MIN_SPEEDUP = 10.0
@@ -96,9 +103,17 @@ def test_table1_end_to_end(benchmark):
 
     # --- parity before any timing claim -----------------------------------
     assert len(fast.rows) >= 4, "need a multi-unit table"
-    unbatched = run_ixp_study(frame, scenario.ixp_name, batch_fits=False)
-    assert fast.rows == unbatched.rows
-    assert fast.skipped == unbatched.skipped
+    # The oracle: the same plan, every unit fitted without a prefactor
+    # (the private SVD inside placebo_test).
+    assignment = assign_treatment(frame, scenario.ixp_name)
+    panel = rtt_panel(frame, period="day")
+    plan = prepare_unit_plan(
+        panel, assignment, fit_kwargs=(("energy", 0.99), ("ridge", 1e-2))
+    )
+    del assignment
+    oracle = [_analyse_unit(s) if isinstance(s, _UnitTask) else s for s in plan]
+    assert fast.rows == tuple(o for o in oracle if isinstance(o, StudyRow))
+    assert fast.skipped == tuple(o for o in oracle if not isinstance(o, StudyRow))
     pooled = run_ixp_study(frame, scenario.ixp_name, n_jobs=N_JOBS)
     assert fast.rows == pooled.rows
     assert fast.skipped == pooled.skipped
@@ -115,9 +130,6 @@ def test_table1_end_to_end(benchmark):
     rowwise.build_panel(frame, unit="unit", time="day", outcome="rtt_ms")
     rowwise_s = time.perf_counter() - t0
 
-    assignment = assign_treatment(frame, scenario.ixp_name)
-    panel = rtt_panel(frame, period="day")
-    del assignment
     t0 = time.perf_counter()
     _seed_style_fits(panel, fast)
     naive_fit_s = time.perf_counter() - t0
@@ -146,7 +158,7 @@ def test_table1_end_to_end(benchmark):
         f"  total:                         {baseline_s:.2f} s  ({speedup:.1f}x)",
         "",
         f"units analysed: {len(fast.rows)};",
-        "batched == unbatched == n_jobs=4 rows, bit-for-bit;",
+        "batched == oracle == n_jobs=4 rows, bit-for-bit;",
         "/dev/shm drained after every run;",
         f"threshold: >= {MIN_SPEEDUP:.0f}x end-to-end"
         + (" (smoke mode: parity only)." if SMOKE else "."),

@@ -73,7 +73,7 @@ from repro.pipeline.study import (
 )
 from repro.stream.state import ingest_frame
 from repro.studies.ixp_latency import scenario_truth
-from repro.synthcontrol.donor import Panel, select_donors
+from repro.synthcontrol.donor import Panel
 from repro.synthcontrol.placebo import _PlaceboContext, _placebo_refit_inner
 from repro.synthcontrol.robust import DenoiseCache, robust_synthetic_control
 
@@ -97,21 +97,6 @@ class CampaignUnitFit:
     pre_periods: int
     post_periods: int
     donors: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class _BaseFitTask:
-    """One scenario-qualified base unit fit, picklable for the pool."""
-
-    scenario: str
-    unit: str
-    pre_periods: int
-    post_periods: int
-    panel: Panel | SharedPanelRef
-    excluded: tuple[str, ...]
-    max_donor_missing: float
-    energy: float
-    ridge: float
 
 
 @dataclass(frozen=True)
@@ -147,39 +132,30 @@ def _task_panel(panel: Panel | SharedPanelRef) -> Panel:
     return panel.load() if isinstance(panel, SharedPanelRef) else panel
 
 
-def _campaign_unit_fit(task: _BaseFitTask) -> CampaignUnitFit | tuple[str, str]:
-    """Fit one unit's synthetic control (no placebos): fit or skip.
+def _base_fit(item: tuple[str, _UnitTask]) -> CampaignUnitFit | tuple[str, str]:
+    """Fit one scenario's unit (no placebos): fit or skip.
 
-    Mirrors :func:`repro.pipeline.study._analyse_unit` exactly — same
-    donor screen, same cached robust fit — minus the placebo loop,
-    which the budget allocator owns.  The fault key is scenario-
-    qualified (``"<scenario>/<unit>"``) so chaos plans can target one
-    scenario's fits without touching its neighbours'.
+    The study's own donor screen (:meth:`_UnitTask.donor_pool`) feeds
+    the same cached robust fit :func:`~repro.synthcontrol.placebo.placebo_test`
+    runs; the placebo loop is left to the budget allocator.  The fault
+    key is scenario-qualified (``"<scenario>/<unit>"``) so chaos plans
+    can target one scenario's fits without touching its neighbours'.
     """
+    scenario, task = item
     metrics = get_metrics()
     panel = _task_panel(task.panel)
-    with span("fits.unit", unit=task.unit, scenario=task.scenario) as sp:
-        fault_point("fits.unit", key=f"{task.scenario}/{task.unit}")
+    with span("fits.unit", unit=task.unit, scenario=scenario) as sp:
+        fault_point("fits.unit", key=f"{scenario}/{task.unit}")
         try:
-            donors = select_donors(
-                panel,
-                task.unit,
-                excluded=task.excluded,
-                pre_periods=task.pre_periods,
-                max_missing=task.max_donor_missing,
-            )
-            donor_matrix = np.column_stack([panel.series(d) for d in donors])
-            # placebo_test creates a DenoiseCache when given none, so the
-            # treated fit here takes the identical cached code path.
+            donors, donor_matrix = task.donor_pool(panel)
             fit = robust_synthetic_control(
                 panel.series(task.unit),
                 donor_matrix,
                 task.pre_periods,
                 treated_name=task.unit,
                 donor_names=donors,
-                energy=task.energy,
-                ridge=task.ridge,
                 cache=DenoiseCache(),
+                **dict(task.fit_kwargs),
             )
         except (DonorPoolError, EstimationError) as exc:
             sp.set(status="skipped", reason=str(exc))
@@ -197,7 +173,7 @@ def _campaign_unit_fit(task: _BaseFitTask) -> CampaignUnitFit | tuple[str, str]:
             rmse_ratio=float(fit.rmse_ratio),
             pre_periods=task.pre_periods,
             post_periods=task.post_periods,
-            donors=tuple(donors),
+            donors=donors,
         )
 
 
@@ -673,6 +649,7 @@ def run_campaign(
                             fit_kwargs=tuple(
                                 sorted({"energy": energy, "ridge": ridge}.items())
                             ),
+                            task_panel=owner.ref if owner is not None else panel,
                         ),
                         checkpoint=ckpt,
                     )
@@ -681,7 +658,7 @@ def run_campaign(
             executor = get_executor(n_jobs, retry=retry)
 
             # ------------------------------------------------- stage B
-            per_scenario_tasks: list[list[_BaseFitTask]] = []
+            per_scenario_tasks: list[list[tuple[str, _UnitTask]]] = []
             for state in states:
                 tasks = []
                 for step in state.plan:
@@ -711,26 +688,13 @@ def run_campaign(
                     if isinstance(skip, tuple):
                         state.fit_skips[skip[0]] = skip[1]
                         continue
-                    tasks.append(
-                        _BaseFitTask(
-                            scenario=state.name,
-                            unit=step.unit,
-                            pre_periods=step.pre_periods,
-                            post_periods=step.post_periods,
-                            panel=state.task_panel(),
-                            excluded=step.excluded,
-                            max_donor_missing=max_donor_missing,
-                            energy=energy,
-                            ridge=ridge,
-                        )
-                    )
+                    tasks.append((state.name, step))
                 per_scenario_tasks.append(tasks)
             fit_tasks = _interleave(per_scenario_tasks)
             by_name = {state.name: state for state in states}
 
             def _journal_fit(index: int, result: Any) -> None:
-                task = fit_tasks[index]
-                state = by_name[task.scenario]
+                state = by_name[fit_tasks[index][0]]
                 if state.checkpoint is None:
                     return
                 if isinstance(result, CampaignUnitFit):
@@ -747,10 +711,10 @@ def run_campaign(
 
             with span("campaign.fits", n_tasks=len(fit_tasks)):
                 outcomes = executor.map(
-                    _campaign_unit_fit, fit_tasks, on_result=_journal_fit
+                    _base_fit, fit_tasks, on_result=_journal_fit
                 )
-            for task, outcome in zip(fit_tasks, outcomes):
-                state = by_name[task.scenario]
+            for (scenario, _task), outcome in zip(fit_tasks, outcomes):
+                state = by_name[scenario]
                 if isinstance(outcome, CampaignUnitFit):
                     state.fits[outcome.unit] = outcome
                 else:

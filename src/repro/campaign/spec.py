@@ -249,6 +249,23 @@ def _staggered_join(
                 scenario.treated_units.append(group.unit)
 
 
+def _regional_upstreams(scenario: Scenario, asn: int) -> set[int]:
+    """Regional providers *asn* is homed to at any point in the window.
+
+    The base topology's providers plus every provider link the timeline
+    already schedules for it (the builder's background churn moves a
+    donor onto the other regional mid-window).
+    """
+    regionals = (_REGIONAL_JNB, _REGIONAL_CPT)
+    homes = {p for p in scenario.topology.providers(asn) if p in regionals}
+    homes.update(
+        e.b_asn
+        for e in scenario.timeline.events
+        if isinstance(e, NewLinkEvent) and e.a_asn == asn and e.b_asn in regionals
+    )
+    return homes
+
+
 @register_kind("depeering")
 def _depeering(
     scenario: Scenario, spec: ScenarioSpec, rng: np.random.Generator
@@ -258,21 +275,27 @@ def _depeering(
     Structural route churn uncorrelated with the IXP joins: the same
     kind of divergence a treated unit shows, landing in the *donor*
     pool — which is what keeps placebo p-values honest under churn.
+    Only donors homed to exactly one regional for the whole window
+    qualify: a donor that already reaches the other regional (or
+    churns onto it) has no link left to buy.
     """
     allowed = {"n_depeered", "event_day"}
     n = int(_param(spec, "n_depeered", 2, allowed))
     day = int(_param(spec, "event_day", spec.effective_join_day + 2, allowed))
     donors = _donor_asns(spec)
-    picks = sorted(int(p) for p in rng.permutation(len(donors))[:n])
-    for i, pick in enumerate(picks):
+    homes = {asn: _regional_upstreams(scenario, asn) for asn in donors}
+    eligible = [
+        int(p) for p in rng.permutation(len(donors)) if len(homes[donors[p]]) == 1
+    ]
+    if len(eligible) < n:
+        raise SimulationError(
+            f"scenario {spec.name!r} (kind=depeering): {n} depeerings but "
+            f"only {len(eligible)} of {len(donors)} donor ASes have a "
+            "single regional upstream"
+        )
+    for i, pick in enumerate(sorted(eligible[:n])):
         asn = donors[pick]
-        upstreams = [
-            p for p in scenario.topology.providers(asn)
-            if p in (_REGIONAL_JNB, _REGIONAL_CPT)
-        ]
-        if not upstreams:
-            continue
-        old = upstreams[0]
+        (old,) = homes[asn]
         new = _REGIONAL_CPT if old == _REGIONAL_JNB else _REGIONAL_JNB
         hour = day * 24.0 + 2.0 * i + float(rng.uniform(0.0, 1.0))
         scenario.timeline.add_event(

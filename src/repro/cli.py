@@ -114,8 +114,6 @@ def _cmd_table1(args: argparse.Namespace) -> int:
             retry=_retry_policy(args),
             checkpoint=args.checkpoint,
             resume=args.resume,
-            batch_fits=not args.no_batch_fits,
-            share_frames=args.shared_frames,
         )
     print(output.format_report())
     _maybe_print_timings(args, output.result)
@@ -183,29 +181,19 @@ def _cmd_import(args: argparse.Namespace) -> int:
         prefixes = {args.ixp: [Prefix.parse(p) for p in args.prefix]}
     import time
 
-    arena = None
-    if args.shared_frames:
-        from repro.pipeline.shm import SharedFrameArena
-
-        arena = SharedFrameArena(tag="import")
-    try:
-        t0 = time.perf_counter()
-        frame = import_csv(args.csv, prefixes, arena=arena)
-        import_seconds = time.perf_counter() - t0
-        print(f"imported {frame.num_rows} measurements from {args.csv}")
-        result = run_ixp_study(
-            frame,
-            args.ixp,
-            n_jobs=args.jobs,
-            generation_seconds=import_seconds,
-            retry=_retry_policy(args),
-            checkpoint=args.checkpoint,
-            resume=args.resume,
-            batch_fits=not args.no_batch_fits,
-        )
-    finally:
-        if arena is not None:
-            arena.close()
+    t0 = time.perf_counter()
+    frame = import_csv(args.csv, prefixes)
+    import_seconds = time.perf_counter() - t0
+    print(f"imported {frame.num_rows} measurements from {args.csv}")
+    result = run_ixp_study(
+        frame,
+        args.ixp,
+        n_jobs=args.jobs,
+        generation_seconds=import_seconds,
+        retry=_retry_policy(args),
+        checkpoint=args.checkpoint,
+        resume=args.resume,
+    )
     print(result.format_table())
     if result.skipped:
         print()
@@ -234,19 +222,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             join_day=args.days // 2,
             seed=args.seed,
         )
-    arena = None
-    if args.shared_frames:
-        from repro.pipeline.shm import SharedFrameArena
-
-        arena = SharedFrameArena(tag="simulate")
-    try:
-        frame = measurements_frame(
-            scenario, rng=args.measurement_seed, mode=args.mode, arena=arena
-        )
-        write_csv(frame, args.out)
-    finally:
-        if arena is not None:
-            arena.close()
+    frame = measurements_frame(scenario, rng=args.measurement_seed, mode=args.mode)
+    write_csv(frame, args.out)
     print(
         f"wrote {frame.num_rows} measurements "
         f"({args.scenario}, {args.days} days, mode={args.mode}) to {args.out}"
@@ -299,7 +276,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         checkpoint=args.checkpoint,
         resume=args.resume,
         live_refits=not args.no_live_refits,
-        batch_fits=not args.no_batch_fits,
         telemetry=publisher,
     )
     try:
@@ -583,25 +559,6 @@ def _add_jobs_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_batch_fits_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--no-batch-fits",
-        action="store_true",
-        help="disable the cross-unit batched fit engine (one SVD per unit "
-        "instead of one stacked SVD per matrix shape); rows are "
-        "bit-identical either way",
-    )
-
-
-def _add_shared_frames_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--shared-frames",
-        action="store_true",
-        help="seal generated/imported float columns into shared-memory "
-        "blocks (zero-copy hand-off to pooled fits)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's argument parser (exposed for testing)."""
     parser = argparse.ArgumentParser(
@@ -622,8 +579,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_table1.add_argument("--donors", type=int, default=25, help="donor ASes")
     p_table1.add_argument("--seed", type=int, default=2, help="world seed")
     _add_jobs_argument(p_table1)
-    _add_batch_fits_argument(p_table1)
-    _add_shared_frames_argument(p_table1)
     _add_resilience_arguments(p_table1)
     _add_timings_argument(p_table1)
     _add_obs_arguments(p_table1)
@@ -642,8 +597,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="peering-LAN prefix (repeatable) for hop-IP matching",
     )
     _add_jobs_argument(p_import)
-    _add_batch_fits_argument(p_import)
-    _add_shared_frames_argument(p_import)
     _add_resilience_arguments(p_import)
     _add_timings_argument(p_import)
     _add_obs_arguments(p_import)
@@ -671,7 +624,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="generation path (batch = columnar fast path)",
     )
     p_sim.add_argument("--out", required=True, help="output CSV path")
-    _add_shared_frames_argument(p_sim)
     _add_obs_arguments(p_sim)
     p_sim.set_defaults(func=_cmd_simulate)
 
@@ -725,7 +677,6 @@ def build_parser() -> argparse.ArgumentParser:
         "after the final table (lets scrapers catch the end state)",
     )
     _add_jobs_argument(p_stream)
-    _add_batch_fits_argument(p_stream)
     _add_resilience_arguments(p_stream)
     _add_obs_arguments(p_stream)
     _add_sampler_argument(p_stream)

@@ -1,32 +1,30 @@
 """Cross-unit batched fit planning (the fit half of the batched engine).
 
-``execute_unit_plan`` used to hand each treated unit's task to a worker
-that imputed, SVD-factored, and leave-one-out-decomposed its donor
-matrix privately — one LAPACK dispatch per unit plus one per placebo
-core batch, even though every unit in a study screens the same donor
-pool and therefore produces the same ``(T, J)`` matrix shape.  This
-module hoists that work into a **planning pass** in the parent:
+Every treated unit in a study screens the same donor pool and therefore
+produces the same ``(T, J)`` donor-matrix shape.  Rather than have each
+unit's fit impute, SVD-factor and leave-one-out-decompose its matrix
+privately — one LAPACK dispatch per unit plus one per placebo core
+batch — a **planning pass** in the parent does that work up front:
 
-- :func:`prefactor_unit_plan` re-runs each task's donor selection (with
+- :func:`prefactor_unit_plan` runs each task's own donor screen (with
   tracing off, so the real fits keep recording the canonical spans),
   groups the donor matrices by shape, and feeds them through the
   stacked primitives :func:`~repro.synthcontrol.robust.factor_donor_matrices`
   and :func:`~repro.synthcontrol.robust.denoise_leave_one_out_many` —
   one 3-D gufunc SVD per shape group instead of one 2-D SVD per unit.
-- The resulting :class:`UnitPrefactor` table is installed in a
-  per-process registry (:func:`set_active_prefactors`) for serial runs,
-  or packed into shared-memory slabs (:func:`publish_prefactors`) that
-  pooled workers attach zero-copy through a picklable
-  :class:`PrefactorSlabs`.
+- Each resulting :class:`UnitPrefactor` travels on its unit's task:
+  in-process on the serial path, or — for pooled workers — as a
+  :class:`PrefactorRef` into shared-memory slabs
+  (:func:`publish_prefactors`) that the worker attaches zero-copy.
 
-Bit-identity is the invariant that makes this safe to enable by
-default: the stacked SVD runs the same LAPACK routine on the same
-bytes as the per-unit call, so a fit seeded from a prefactor is
-indistinguishable — to the last bit of every
-:class:`~repro.pipeline.study.StudyRow` field — from one that factored
-its own matrix.  A unit whose donor selection fails, or whose selected
-donors disagree with the prefactor's (either means the panel changed
-under us), simply falls back to the private factorization.
+Bit-identity is the invariant that makes this the only path: the
+stacked SVD runs the same LAPACK routine on the same bytes as the
+per-unit call, so a fit seeded from a prefactor is indistinguishable —
+to the last bit of every :class:`~repro.pipeline.study.StudyRow` field
+— from one that factored its own matrix.  A unit whose donor selection
+fails, or whose selected donors disagree with the prefactor's (either
+means the panel changed under us), simply falls back to the private
+factorization.
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ import numpy as np
 from repro.errors import DonorPoolError, EstimationError
 from repro.obs import tracing_disabled
 from repro.pipeline.shm import SharedArrayRef, SharedFrameArena
-from repro.synthcontrol.donor import Panel, select_donors
+from repro.synthcontrol.donor import Panel
 from repro.synthcontrol.robust import (
     DonorFactorization,
     denoise_leave_one_out_many,
@@ -52,12 +50,11 @@ class _FitTask(Protocol):
     """The slice of :class:`~repro.pipeline.study._UnitTask` we read."""
 
     unit: str
-    pre_periods: int
-    excluded: tuple[str, ...]
-    max_donor_missing: float
     method: str
     max_placebos: int | None
     fit_kwargs: tuple[tuple[str, object], ...]
+
+    def donor_pool(self, panel: Panel) -> tuple[tuple[str, ...], np.ndarray]: ...
 
 
 @dataclass(frozen=True)
@@ -87,14 +84,14 @@ def prefactor_unit_plan(
 ) -> dict[str, UnitPrefactor]:
     """Batch-factor every robust task's donor matrix across units.
 
-    Runs each task's donor screen exactly as :func:`_analyse_unit`
-    will — under :func:`~repro.obs.tracing_disabled`, so the canonical
-    ``donors.select`` spans are still recorded (once) by the real
-    fits — then stacks same-shaped matrices into single gufunc SVD
-    calls.  Units whose screen raises here are left out of the table
-    (the real fit records the skip, with tracing on); units with an
-    entirely-missing donor column are likewise left to the real fit so
-    its error message is the one surfaced.
+    Runs each task's donor screen (:meth:`_UnitTask.donor_pool`, the
+    one the fit itself runs) under :func:`~repro.obs.tracing_disabled`,
+    so the canonical ``donors.select`` spans are still recorded (once)
+    by the real fits — then stacks same-shaped matrices into single
+    gufunc SVD calls.  Units whose screen raises here are left out of
+    the table (the real fit records the skip, with tracing on); units
+    with an entirely-missing donor column are likewise left to the real
+    fit so its error message is the one surfaced.
     """
     entries: list[tuple[_FitTask, tuple[str, ...], np.ndarray]] = []
     with tracing_disabled():
@@ -102,19 +99,12 @@ def prefactor_unit_plan(
             if task.method != "robust":
                 continue
             try:
-                donors = select_donors(
-                    panel,
-                    task.unit,
-                    excluded=task.excluded,
-                    pre_periods=task.pre_periods,
-                    max_missing=task.max_donor_missing,
-                )
+                donors, matrix = task.donor_pool(panel)
             except (DonorPoolError, EstimationError):
                 continue
-            matrix = np.column_stack([panel.series(d) for d in donors])
             if matrix.shape[1] == 0 or not np.isfinite(matrix).any(axis=0).all():
                 continue
-            entries.append((task, tuple(donors), matrix))
+            entries.append((task, donors, matrix))
     if not entries:
         return {}
     facts = factor_donor_matrices([matrix for _task, _donors, matrix in entries])
@@ -143,48 +133,25 @@ def prefactor_unit_plan(
 
 
 # --------------------------------------------------------------------------
-# Per-process registry: how _analyse_unit finds its unit's prefactor.
-# The serial path installs the parent's table directly; pooled workers
-# install a table rebuilt from shared-memory slabs in their initializer.
-
-_ACTIVE: dict[str, UnitPrefactor] = {}
-
-
-def set_active_prefactors(table: dict[str, UnitPrefactor]) -> None:
-    """Install *table* as this process's active prefactor registry."""
-    _ACTIVE.clear()
-    _ACTIVE.update(table)
-
-
-def clear_active_prefactors() -> None:
-    """Empty the registry (idempotent); fits fall back to private SVDs."""
-    _ACTIVE.clear()
-
-
-def get_prefactor(unit: str) -> UnitPrefactor | None:
-    """The active prefactor for *unit*, if the planning pass produced one."""
-    return _ACTIVE.get(unit)
-
-
-# --------------------------------------------------------------------------
 # Shared-memory transport: the parent packs the table into a few big
-# arena blocks (one set per shape group), workers attach them zero-copy.
+# arena blocks (one set per shape group); each pooled task carries a
+# reference to its unit's row and attaches the blocks zero-copy.
 
 
 @dataclass(frozen=True)
-class _SlabGroup:
-    """One shape group's stacked arrays plus per-unit metadata.
+class PrefactorRef:
+    """A picklable reference to one unit's row in the prefactor slabs.
 
-    The float payload lives in arena blocks (:class:`SharedArrayRef`
-    fields); only names, shapes, donor tuples, and integer sidecars
-    ride in the pickle — a few hundred bytes per group however large
-    the panel is.
+    The float payload lives in arena blocks shared by the unit's shape
+    group (:class:`SharedArrayRef` fields); only block names, the row
+    index, and the unit's donor names and integer sidecars (finite
+    counts, kept ranks) ride in the pickle — never the arrays.
     """
 
-    units: tuple[str, ...]
-    donors: tuple[tuple[str, ...], ...]
-    finite_counts: tuple[tuple[int, ...], ...]
-    loo_ranks: tuple[tuple[int, ...], ...] | None
+    row: int
+    donors: tuple[str, ...]
+    finite_counts: tuple[int, ...]
+    loo_ranks: tuple[int, ...]
     filled: SharedArrayRef
     col_means: SharedArrayRef
     u: SharedArrayRef
@@ -192,120 +159,85 @@ class _SlabGroup:
     vt: SharedArrayRef
     loo: SharedArrayRef | None
 
-
-@dataclass(frozen=True)
-class PrefactorSlabs:
-    """A picklable shared-memory image of a prefactor table."""
-
-    groups: tuple[_SlabGroup, ...]
-
-    def load(self) -> dict[str, UnitPrefactor]:
-        """Attach every group's blocks and rebuild the per-unit table.
-
-        Views are zero-copy slices of the slabs (memoised per process
-        by the attach cache), so a worker's table costs one attach per
-        block, not one array copy per unit.
-        """
-        table: dict[str, UnitPrefactor] = {}
-        for group in self.groups:
-            filled = group.filled.load()
-            col_means = group.col_means.load()
-            u = group.u.load()
-            s = group.s.load()
-            vt = group.vt.load()
-            loo_slab = group.loo.load() if group.loo is not None else None
-            for i, unit in enumerate(group.units):
-                fact = DonorFactorization(
-                    filled=filled[i],
-                    col_means=col_means[i],
-                    finite_counts=np.array(group.finite_counts[i], dtype=np.int64),
-                    u=u[i],
-                    s=s[i],
-                    vt=vt[i],
-                )
-                loo: tuple[tuple[np.ndarray, int], ...] | None = None
-                if loo_slab is not None and group.loo_ranks is not None:
-                    loo = tuple(
-                        (loo_slab[i, col], rank)
-                        for col, rank in enumerate(group.loo_ranks[i])
-                    )
-                table[unit] = UnitPrefactor(
-                    donors=group.donors[i], fact=fact, loo=loo
-                )
-        return table
+    def load(self) -> UnitPrefactor:
+        """Attach the slabs (memoised per process) and view this row."""
+        i = self.row
+        fact = DonorFactorization(
+            filled=self.filled.load()[i],
+            col_means=self.col_means.load()[i],
+            finite_counts=np.array(self.finite_counts, dtype=np.int64),
+            u=self.u.load()[i],
+            s=self.s.load()[i],
+            vt=self.vt.load()[i],
+        )
+        loo: tuple[tuple[np.ndarray, int], ...] | None = None
+        if self.loo is not None:
+            slab = self.loo.load()[i]
+            loo = tuple((slab[col], rank) for col, rank in enumerate(self.loo_ranks))
+        return UnitPrefactor(donors=self.donors, fact=fact, loo=loo)
 
 
 def publish_prefactors(
     table: dict[str, UnitPrefactor], arena: SharedFrameArena
-) -> PrefactorSlabs:
-    """Pack *table* into arena blocks for zero-copy worker attach.
+) -> dict[str, PrefactorRef]:
+    """Pack *table* into arena blocks; one :class:`PrefactorRef` per unit.
 
     Units are regrouped by concrete array shapes — the donor-matrix
     shape and the leave-one-out batch length — and each group's
     factorizations stack into one block per field.  Integer sidecars
-    (finite counts, kept ranks) travel in the pickle so the float
-    blocks round-trip bit-exact without dtype games.
+    (finite counts, kept ranks) travel in the refs so the float blocks
+    round-trip bit-exact without dtype games.
     """
     groups: dict[tuple[tuple[int, int], int], list[str]] = {}
     for unit, pf in table.items():
         shape = (pf.fact.n_times, pf.fact.n_donors)
         n_loo = len(pf.loo) if pf.loo is not None else 0
         groups.setdefault((shape, n_loo), []).append(unit)
-    packed: list[_SlabGroup] = []
+    refs: dict[str, PrefactorRef] = {}
     for gi, (((n_times, n_donors), n_loo), units) in enumerate(groups.items()):
         g = len(units)
         k = len(table[units[0]].fact.s)
-        filled = arena.allocate(f"prefactor.{gi}.filled", (g, n_times, n_donors))
-        col_means = arena.allocate(f"prefactor.{gi}.col_means", (g, n_donors))
-        u = arena.allocate(f"prefactor.{gi}.u", (g, n_times, k))
-        s = arena.allocate(f"prefactor.{gi}.s", (g, k))
-        vt = arena.allocate(f"prefactor.{gi}.vt", (g, k, n_donors))
-        loo = (
-            arena.allocate(
-                f"prefactor.{gi}.loo", (g, n_loo, n_times, n_donors - 1)
-            )
-            if n_loo
-            else None
-        )
-        donors: list[tuple[str, ...]] = []
-        finite_counts: list[tuple[int, ...]] = []
-        loo_ranks: list[tuple[int, ...]] = []
+        shapes = {
+            "filled": (g, n_times, n_donors),
+            "col_means": (g, n_donors),
+            "u": (g, n_times, k),
+            "s": (g, k),
+            "vt": (g, k, n_donors),
+        }
+        if n_loo:
+            shapes["loo"] = (g, n_loo, n_times, n_donors - 1)
+        slabs = {
+            field: arena.allocate(f"prefactor.{gi}.{field}", shape)
+            for field, shape in shapes.items()
+        }
+        blocks = {field: arena.ref(f"prefactor.{gi}.{field}") for field in shapes}
         for i, unit in enumerate(units):
             pf = table[unit]
-            filled[i] = pf.fact.filled
-            col_means[i] = pf.fact.col_means
-            u[i] = pf.fact.u
-            s[i] = pf.fact.s
-            vt[i] = pf.fact.vt
-            donors.append(pf.donors)
-            finite_counts.append(tuple(int(c) for c in pf.fact.finite_counts))
-            if n_loo and pf.loo is not None:
+            for field in ("filled", "col_means", "u", "s", "vt"):
+                slabs[field][i] = getattr(pf.fact, field)
+            loo_ranks: tuple[int, ...] = ()
+            if pf.loo:
                 for col, (denoised, _rank) in enumerate(pf.loo):
-                    loo[i, col] = denoised  # type: ignore[index]
-                loo_ranks.append(tuple(int(rank) for _d, rank in pf.loo))
-        packed.append(
-            _SlabGroup(
-                units=tuple(units),
-                donors=tuple(donors),
-                finite_counts=tuple(finite_counts),
-                loo_ranks=tuple(loo_ranks) if n_loo else None,
-                filled=arena.ref(f"prefactor.{gi}.filled"),
-                col_means=arena.ref(f"prefactor.{gi}.col_means"),
-                u=arena.ref(f"prefactor.{gi}.u"),
-                s=arena.ref(f"prefactor.{gi}.s"),
-                vt=arena.ref(f"prefactor.{gi}.vt"),
-                loo=arena.ref(f"prefactor.{gi}.loo") if n_loo else None,
+                    slabs["loo"][i, col] = denoised
+                loo_ranks = tuple(int(rank) for _d, rank in pf.loo)
+            refs[unit] = PrefactorRef(
+                row=i,
+                donors=pf.donors,
+                finite_counts=tuple(int(c) for c in pf.fact.finite_counts),
+                loo_ranks=loo_ranks,
+                filled=blocks["filled"],
+                col_means=blocks["col_means"],
+                u=blocks["u"],
+                s=blocks["s"],
+                vt=blocks["vt"],
+                loo=blocks.get("loo"),
             )
-        )
-    return PrefactorSlabs(groups=tuple(packed))
+    return refs
 
 
 __all__ = [
     "UnitPrefactor",
-    "PrefactorSlabs",
+    "PrefactorRef",
     "prefactor_unit_plan",
     "publish_prefactors",
-    "set_active_prefactors",
-    "clear_active_prefactors",
-    "get_prefactor",
 ]

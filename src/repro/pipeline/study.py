@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -35,13 +35,10 @@ from repro.pipeline.aggregate import rtt_panel
 from repro.pipeline.crossing import TreatmentAssignment, assign_treatment
 from repro.pipeline.executor import RetryPolicy, get_executor, resolve_n_jobs
 from repro.pipeline.prefactor import (
-    PrefactorSlabs,
+    PrefactorRef,
     UnitPrefactor,
-    clear_active_prefactors,
-    get_prefactor,
     prefactor_unit_plan,
     publish_prefactors,
-    set_active_prefactors,
 )
 from repro.pipeline.shm import (
     SharedFrameArena,
@@ -247,6 +244,10 @@ class _UnitTask:
     :class:`Panel` on the serial path.  ``fit_kwargs`` is a tuple of
     sorted items (not a dict) so this frozen dataclass is actually
     hashable and workers cannot mutate shared fit parameters.
+    ``prefactor`` is the planning pass's batched SVD work for this unit
+    (attached by :func:`execute_unit_plan`): the in-process
+    :class:`UnitPrefactor` on the serial path, a :class:`PrefactorRef`
+    into shared-memory slabs on a pool, ``None`` for a private SVD.
     """
 
     unit: str
@@ -258,6 +259,24 @@ class _UnitTask:
     method: str
     max_placebos: int | None
     fit_kwargs: tuple[tuple[str, object], ...]
+    prefactor: UnitPrefactor | PrefactorRef | None = field(
+        default=None, compare=False, repr=False
+    )
+
+    def donor_pool(self, panel: Panel) -> tuple[tuple[str, ...], np.ndarray]:
+        """The unit's screened donors and their stacked ``T x J`` matrix.
+
+        The one donor screen every fit runs: the study's fit, the
+        planning pass, and the campaign's base fit.
+        """
+        donors = select_donors(
+            panel,
+            self.unit,
+            excluded=self.excluded,
+            pre_periods=self.pre_periods,
+            max_missing=self.max_donor_missing,
+        )
+        return tuple(donors), np.column_stack([panel.series(d) for d in donors])
 
 
 def _analyse_unit(task: _UnitTask) -> StudyRow | tuple[str, str]:
@@ -269,22 +288,17 @@ def _analyse_unit(task: _UnitTask) -> StudyRow | tuple[str, str]:
     with span("fits.unit", unit=task.unit) as sp:
         fault_point("fits.unit", key=task.unit)
         try:
-            donors = select_donors(
-                panel,
-                task.unit,
-                excluded=task.excluded,
-                pre_periods=task.pre_periods,
-                max_missing=task.max_donor_missing,
-            )
-            donor_matrix = np.column_stack([panel.series(d) for d in donors])
-            # A prefactor computed by the planning pass supplies this
-            # unit's SVD work ready-made (bit-identical to computing it
-            # here); it is only trusted when its donor selection matches
-            # ours exactly — any drift means the panel changed and the
-            # fit silently recomputes.
+            donors, donor_matrix = task.donor_pool(panel)
+            # The task's prefactor supplies this unit's SVD work
+            # ready-made (bit-identical to computing it here); it is only
+            # trusted when its donor selection matches ours exactly — any
+            # drift means the panel changed and the fit silently
+            # recomputes.
             cache = loo = None
-            pf = get_prefactor(task.unit) if task.method == "robust" else None
-            if pf is not None and pf.donors == tuple(donors):
+            pf = task.prefactor
+            if isinstance(pf, PrefactorRef):
+                pf = pf.load()
+            if pf is not None and pf.donors == donors:
                 cache = DenoiseCache()
                 cache.seed(donor_matrix, pf.fact)
                 loo = pf.loo
@@ -395,21 +409,6 @@ def prepare_unit_plan(
     return plan
 
 
-def _attach_study_state(
-    panel_ref: SharedPanelRef | None, slabs: PrefactorSlabs | None
-) -> None:
-    """Process-pool initializer: map the panel and prefactor slabs.
-
-    Runs once per worker — including the respawned workers of a pool
-    rebuilt after ``BrokenProcessPool`` — so both the panel attach and
-    the slab attach stay off the task critical path.
-    """
-    if panel_ref is not None:
-        attach_shared_panel(panel_ref)
-    if slabs is not None:
-        set_active_prefactors(slabs.load())
-
-
 def execute_unit_plan(
     plan: list[tuple[str, str] | _UnitTask],
     *,
@@ -417,7 +416,6 @@ def execute_unit_plan(
     retry: RetryPolicy | None = None,
     owner: SharedPanelOwner | None = None,
     checkpoint: "StudyCheckpoint | None" = None,
-    batch_fits: bool = True,
 ) -> tuple[list[StudyRow], list[tuple[str, str]]]:
     """Run a unit plan's fits and merge outcomes back into plan order.
 
@@ -429,14 +427,12 @@ def execute_unit_plan(
     order-stable results, shared-memory attach via *owner* — so serial
     and pooled runs return identical rows.
 
-    With *batch_fits* (the default), a planning pass batch-factors
-    every robust unit's donor matrix across units first — one stacked
-    SVD per matrix shape (:func:`~repro.pipeline.prefactor.prefactor_unit_plan`)
-    — and the fits reuse those factorizations: installed directly in
-    the serial process, shipped to pooled workers as shared-memory
-    slabs.  Rows are bit-identical with the flag on or off; turn it off
-    to pin down a suspected batching interaction or to trade peak
-    memory (the stacked slabs) for per-unit SVD time.
+    A planning pass first batch-factors every robust unit's donor
+    matrix across units — one stacked SVD per matrix shape
+    (:func:`~repro.pipeline.prefactor.prefactor_unit_plan`) — and each
+    task carries its unit's factorization into the fit: the in-process
+    object on the serial path, a :class:`PrefactorRef` into
+    shared-memory slabs on a pool.  A single unit is a group of one.
     """
     fit_units = [step for step in plan if isinstance(step, _UnitTask)]
     completed: dict[str, StudyRow | tuple[str, str]] = (
@@ -450,7 +446,6 @@ def execute_unit_plan(
 
     rows: list[StudyRow] = []
     skipped: list[tuple[str, str]] = []
-    workers = resolve_n_jobs(n_jobs)
     arena: SharedFrameArena | None = None
     with span(
         "fits",
@@ -459,8 +454,7 @@ def execute_unit_plan(
         n_resumed=len(fit_units) - len(tasks),
     ):
         try:
-            prefactors: dict[str, UnitPrefactor] | None = None
-            if batch_fits and tasks:
+            if tasks:
                 first = tasks[0].panel
                 plan_panel = (
                     owner.panel
@@ -469,27 +463,24 @@ def execute_unit_plan(
                     if isinstance(first, SharedPanelRef)
                     else first
                 )
-                prefactors = prefactor_unit_plan(plan_panel, tasks) or None
-            # Workers map the shared blocks at spawn (initializer),
-            # including the respawned workers of a pool rebuilt
-            # after BrokenProcessPool — the blocks outlive any pool.
-            initializer = attach_shared_panel if owner is not None else None
-            initargs: tuple = (owner.ref,) if owner is not None else ()
-            if prefactors is not None:
-                if workers > 1:
+                prefactors: dict[str, UnitPrefactor] | dict[str, PrefactorRef]
+                prefactors = prefactor_unit_plan(plan_panel, tasks)
+                if prefactors and resolve_n_jobs(n_jobs) > 1:
                     arena = SharedFrameArena(tag="prefactor")
-                    initializer = _attach_study_state
-                    initargs = (
-                        owner.ref if owner is not None else None,
-                        publish_prefactors(prefactors, arena),
-                    )
-                else:
-                    set_active_prefactors(prefactors)
+                    prefactors = publish_prefactors(prefactors, arena)
+                tasks = [
+                    replace(t, prefactor=prefactors.get(t.unit))
+                    for t in tasks
+                ]
+            # Pool workers map the panel block at spawn (initializer),
+            # including the respawned workers of a pool rebuilt after
+            # BrokenProcessPool; prefactor slabs attach on a task's
+            # first use.  The blocks outlive any pool.
             with get_executor(
                 n_jobs,
                 retry=retry,
-                initializer=initializer,
-                initargs=initargs,
+                initializer=attach_shared_panel if owner is not None else None,
+                initargs=(owner.ref,) if owner is not None else (),
             ) as executor:
                 outcomes = iter(
                     executor.map(_analyse_unit, tasks, on_result=_journal)
@@ -506,7 +497,6 @@ def execute_unit_plan(
                 else:
                     skipped.append(result)
         finally:
-            clear_active_prefactors()
             if arena is not None:
                 arena.close()
     return rows, skipped
@@ -528,7 +518,6 @@ def run_ixp_study(
     retry: RetryPolicy | None = None,
     checkpoint: str | Path | None = None,
     resume: bool = False,
-    batch_fits: bool = True,
 ) -> StudyResult:
     """Run the full IXP case study on a measurement frame.
 
@@ -566,10 +555,6 @@ def run_ixp_study(
         With *checkpoint*: load previously finished units from the file
         and fit only the rest.  The resumed result is byte-identical to
         an uninterrupted run's.
-    batch_fits:
-        Batch donor-matrix SVDs across treated units before fitting
-        (see :func:`execute_unit_plan`); on by default, bit-identical
-        rows either way.
     """
     logger.info(
         "running IXP study on %d measurements (ixp=%s, method=%s, n_jobs=%s)",
@@ -652,7 +637,6 @@ def run_ixp_study(
                 retry=retry,
                 owner=owner,
                 checkpoint=ckpt,
-                batch_fits=batch_fits,
             )
         finally:
             if ckpt is not None:

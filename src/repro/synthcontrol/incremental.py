@@ -25,10 +25,10 @@ previously imputed cells).  :func:`extend_factorization` raises
 :class:`~repro.errors.EstimationError` in those cases and the caller
 falls back to a cold :func:`~repro.synthcontrol.robust.factor_donor_matrix`.
 
-:func:`live_placebo_ratios` is the matching inference loop: the same
-math as the batch placebo engine (one batched leave-one-out de-noising,
-one ridge refit per pseudo-treated donor, the same skip screens) minus
-the per-refit span/metric/fault bookkeeping, which would dominate a
+:func:`live_placebo_ratios` is the matching inference loop: the batch
+placebo engine's own refit (one batched leave-one-out de-noising, one
+ridge refit per pseudo-treated donor, the same skip screens) minus the
+per-refit span/metric/fault bookkeeping, which would dominate a
 millisecond refresh.  Live rows are advisory — the engine's finalize
 pass re-runs the fully instrumented batch loop for the exact table.
 """
@@ -38,11 +38,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import DonorPoolError, EstimationError
-from repro.synthcontrol.robust import (
-    DonorFactorization,
-    denoise_leave_one_out,
-    fit_from_denoised,
-)
+from repro.synthcontrol.placebo import _PlaceboContext, _placebo_refit_inner
+from repro.synthcontrol.robust import DonorFactorization, denoise_leave_one_out
 
 
 def extend_factorization(
@@ -106,38 +103,30 @@ def live_placebo_ratios(
 ) -> tuple[list[float], int]:
     """Span-free placebo RMSE ratios for a live (mid-stream) refresh.
 
-    Mirrors the batch loop's math and skip semantics — estimation
-    failures, degenerate pre-fits (``pre_rmse < min_pre_rmse``), and
-    non-finite ratios are dropped — without its per-refit span, metric,
-    and fault-injection hooks.  Returns ``(ratios, n_skipped)`` with
-    ratios in donor order.
+    Runs the batch placebo loop's own span-free refit
+    (:func:`~repro.synthcontrol.placebo._placebo_refit_inner`) over one
+    batched leave-one-out de-noising, so the math and skip semantics
+    are the batch study's — estimation failures, degenerate pre-fits
+    (``pre_rmse < min_pre_rmse``), and non-finite ratios are dropped —
+    without the per-refit span, metric, and fault-injection hooks.
+    Returns ``(ratios, n_skipped)`` with ratios in donor order.
     """
     j = donors.shape[1]
     n = j if limit is None else max(0, min(int(limit), j))
     if n == 0 or j < 2:
         return [], 0
-    loo = denoise_leave_one_out(fact, energy=energy, limit=n)
-    ratios: list[float] = []
-    skipped = 0
-    for col in range(n):
-        denoised, _rank = loo[col]
-        rest_names = tuple(nm for i, nm in enumerate(donor_names) if i != col)
-        try:
-            placebo_fit = fit_from_denoised(
-                donors[:, col],
-                denoised,
-                pre_periods,
-                f"placebo:{donor_names[col]}",
-                rest_names,
-                ridge=ridge,
-            )
-        except (DonorPoolError, EstimationError):
-            skipped += 1
-            continue
-        if placebo_fit.pre_rmse < min_pre_rmse or not np.isfinite(
-            placebo_fit.rmse_ratio
-        ):
-            skipped += 1
-            continue
-        ratios.append(float(placebo_fit.rmse_ratio))
-    return ratios, skipped
+    ctx = _PlaceboContext(
+        donors=donors,
+        donor_names=donor_names,
+        pre_periods=pre_periods,
+        min_pre_rmse=min_pre_rmse,
+        method="robust",
+        fit_kwargs={},
+        fact=fact,
+        energy=energy,
+        ridge=ridge,
+        loo=denoise_leave_one_out(fact, energy=energy, limit=n),
+    )
+    ratios = [_placebo_refit_inner(ctx, col)[1] for col in range(n)]
+    kept = [ratio for ratio in ratios if ratio is not None]
+    return kept, n - len(kept)

@@ -12,31 +12,37 @@ What these tests pin down:
   mixed donor-pool shapes;
 - the prefactor planning pass produces factorizations the per-unit
   path would, survives the shared-memory slab round-trip exactly, and
-  leaves the study's Table-1 rows bit-identical between the batched
-  and unbatched engines, serial and ``--jobs 4``.
+  leaves the study's Table-1 rows bit-identical to the oracle (every
+  unit fitted with ``prefactor=None``, see ``tests/oracle.py``), serial
+  and ``--jobs 4``;
+- a task whose prefactor does not match its own donor screen refits
+  privately and still produces the oracle row.
 """
+
+import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.errors import DonorPoolError
 from repro.pipeline.prefactor import (
-    clear_active_prefactors,
-    get_prefactor,
+    PrefactorRef,
     prefactor_unit_plan,
     publish_prefactors,
-    set_active_prefactors,
 )
 from repro.pipeline.shm import SharedFrameArena
-from repro.pipeline.study import run_ixp_study
+from repro.pipeline.study import _analyse_unit, run_ixp_study
 from repro.synthcontrol.donor import Panel
 from repro.synthcontrol.placebo import placebo_test
 from repro.synthcontrol.robust import (
+    DonorFactorization,
     denoise_leave_one_out,
     denoise_leave_one_out_many,
     factor_donor_matrices,
     factor_donor_matrix,
 )
+from tests.oracle import oracle_study
 
 
 def _loop_impute(matrix: np.ndarray):
@@ -239,11 +245,15 @@ class TestPrefactorEngine:
         treated = [panel.units[0], panel.units[1], panel.units[2]]
         table = prefactor_unit_plan(panel, self._tasks(panel, treated))
         with SharedFrameArena(tag="test-prefactor") as arena:
-            slabs = publish_prefactors(table, arena)
-            loaded = slabs.load()
-            assert set(loaded) == set(table)
+            refs = publish_prefactors(table, arena)
+            assert set(refs) == set(table)
             for unit, pf in table.items():
-                got = loaded[unit]
+                # A pooled task pickles its unit's reference, never arrays.
+                assert not any(
+                    isinstance(v, (np.ndarray, DonorFactorization))
+                    for v in vars(refs[unit]).values()
+                )
+                got = pickle.loads(pickle.dumps(refs[unit])).load()
                 assert got.donors == pf.donors
                 np.testing.assert_array_equal(got.fact.filled, pf.fact.filled)
                 np.testing.assert_array_equal(got.fact.col_means, pf.fact.col_means)
@@ -256,6 +266,7 @@ class TestPrefactorEngine:
                 np.testing.assert_array_equal(got.fact.vt, pf.fact.vt)
                 assert (pf.loo is None) == (got.loo is None)
                 if pf.loo is not None:
+                    assert len(got.loo) == len(pf.loo)
                     for (d_got, r_got), (d_pf, r_pf) in zip(got.loo, pf.loo):
                         assert r_got == r_pf
                         np.testing.assert_array_equal(d_got, d_pf)
@@ -281,17 +292,6 @@ class TestPrefactorEngine:
             for t in tasks
         ]
         assert prefactor_unit_plan(panel, classic) == {}
-
-    def test_registry_set_get_clear(self):
-        panel = self._panel()
-        table = prefactor_unit_plan(panel, self._tasks(panel, [panel.units[0]]))
-        try:
-            set_active_prefactors(table)
-            assert get_prefactor(panel.units[0]) is table[panel.units[0]]
-            assert get_prefactor("AS999/nowhere") is None
-        finally:
-            clear_active_prefactors()
-        assert get_prefactor(panel.units[0]) is None
 
     def test_seeded_placebo_test_matches_private_fit(self):
         panel = self._panel()
@@ -330,32 +330,72 @@ class TestPrefactorEngine:
         )
 
 
+class TestPrefactorFallback:
+    """A prefactor is trusted only when its donors match the task's screen."""
+
+    def _panel_and_tasks(self):
+        engine = TestPrefactorEngine()
+        panel = engine._panel()
+        treated = [panel.units[0], panel.units[1]]
+        return panel, engine._tasks(panel, treated)
+
+    def test_another_units_prefactor_refits_privately(self):
+        panel, (first, second) = self._panel_and_tasks()
+        table = prefactor_unit_plan(panel, [first, second])
+        foreign = table[second.unit]
+        assert foreign.donors != table[first.unit].donors
+        oracle = _analyse_unit(first)
+        assert _analyse_unit(replace(first, prefactor=foreign)) == oracle
+        with SharedFrameArena(tag="test-fallback") as arena:
+            ref = publish_prefactors(table, arena)[second.unit]
+            assert isinstance(ref, PrefactorRef)
+            assert _analyse_unit(replace(first, prefactor=ref)) == oracle
+
+    def test_study_plan_with_swapped_prefactors_matches_the_oracle(
+        self, small_frame, small_scenario
+    ):
+        from repro.pipeline import assign_treatment, rtt_panel
+        from repro.pipeline.study import _UnitTask, prepare_unit_plan
+
+        assignment = assign_treatment(small_frame, small_scenario.ixp_name)
+        panel = rtt_panel(small_frame, period="day")
+        plan = prepare_unit_plan(
+            panel, assignment, fit_kwargs=(("energy", 0.99), ("ridge", 1e-2))
+        )
+        tasks = [step for step in plan if isinstance(step, _UnitTask)]
+        assert len(tasks) >= 2
+        table = prefactor_unit_plan(panel, tasks)
+        units = [t.unit for t in tasks if t.unit in table]
+        rotated = dict(zip(units, units[1:] + units[:1]))
+        for task in tasks:
+            foreign = table.get(rotated.get(task.unit, ""))
+            got = _analyse_unit(replace(task, prefactor=foreign))
+            assert got == _analyse_unit(task), task.unit
+
+
 class TestStudyLevelBitIdentity:
     def test_batched_equals_unbatched_serial_and_jobs4(
         self, small_frame, small_scenario
     ):
-        reference = run_ixp_study(
-            small_frame, small_scenario.ixp_name, batch_fits=False
-        )
+        reference = oracle_study(small_frame, small_scenario.ixp_name)
         assert reference.rows  # the comparison must not be vacuous
-        for n_jobs, batch_fits in [(1, True), (4, True), (4, False)]:
+        for n_jobs in (1, 4):
             result = run_ixp_study(
-                small_frame,
-                small_scenario.ixp_name,
-                n_jobs=n_jobs,
-                batch_fits=batch_fits,
+                small_frame, small_scenario.ixp_name, n_jobs=n_jobs
             )
-            assert result.rows == reference.rows, (n_jobs, batch_fits)
+            assert result.rows == reference.rows, n_jobs
             assert result.skipped == reference.skipped
 
     def test_batched_equals_unbatched_with_placebo_cap(
         self, small_frame, small_scenario
     ):
-        reference = run_ixp_study(
-            small_frame, small_scenario.ixp_name, max_placebos=3, batch_fits=False
-        )
-        batched = run_ixp_study(
+        reference = oracle_study(
             small_frame, small_scenario.ixp_name, max_placebos=3
         )
-        assert batched.rows == reference.rows
-        assert batched.skipped == reference.skipped
+        assert reference.rows
+        for n_jobs in (1, 4):
+            batched = run_ixp_study(
+                small_frame, small_scenario.ixp_name, max_placebos=3, n_jobs=n_jobs
+            )
+            assert batched.rows == reference.rows, n_jobs
+            assert batched.skipped == reference.skipped

@@ -192,3 +192,66 @@ class TestDefaultFleet:
     def test_empty_fleet_rejected(self):
         with pytest.raises(SimulationError, match=">= 1"):
             default_fleet(0)
+
+
+class TestDepeeringDonorChoice:
+    """Depeering only moves donors homed to a single regional provider."""
+
+    @pytest.mark.parametrize("n_donors", [8, 12, 16, 20])
+    @pytest.mark.parametrize("days", [12, ScenarioSpec("x").duration_days])
+    def test_every_depeering_spec_builds(self, n_donors, days):
+        fleet = default_fleet(
+            2 * len(scenario_kinds()), duration_days=days, n_donor_ases=n_donors
+        )
+        specs = [s for s in fleet if s.kind == "depeering"] + [
+            ScenarioSpec(
+                name=f"dep-{seed}", kind="depeering", seed=seed,
+                n_donor_ases=n_donors, duration_days=days,
+            )
+            for seed in range(5)
+        ]
+        for spec in specs:
+            scenario = build_scenario(spec)
+            scenario.timeline.state_at(0.0)  # applies every scheduled event
+
+    def test_depeered_donors_had_one_regional_upstream(self):
+        from repro.campaign.spec import _regional_upstreams
+        from repro.netsim.events import DepeeringEvent
+
+        spec = ScenarioSpec(
+            name="dep", kind="depeering", seed=2, n_donor_ases=12,
+        )
+        base = build_scenario(
+            ScenarioSpec(name="b", kind="baseline", seed=2, n_donor_ases=12)
+        )
+        scenario = build_scenario(spec)
+        added = [
+            e for e in scenario.timeline.events
+            if repr(e) not in {repr(b) for b in base.timeline.events}
+        ]
+        moved = [e.a_asn for e in added if isinstance(e, DepeeringEvent)]
+        assert len(moved) == 2
+        for asn in moved:
+            assert len(_regional_upstreams(base, asn)) == 1
+
+    def test_too_few_single_homed_donors_is_a_named_error(self):
+        spec = ScenarioSpec(
+            name="dep", kind="depeering", seed=0, n_donor_ases=4,
+            params={"n_depeered": 5},
+        )
+        with pytest.raises(SimulationError, match="kind=depeering"):
+            build_scenario(spec)
+
+    def test_cli_campaign_at_default_days_and_donors_exits_zero(self):
+        import os
+        import subprocess
+        import sys
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "campaign", "--scenarios", "3",
+             "--budget", "36"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH="src"), timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert b"depeering-02" in proc.stdout

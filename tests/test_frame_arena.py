@@ -13,7 +13,8 @@ What these tests pin down:
   plus the prefactor arena — after a normal parallel run, after a
   ``BrokenProcessPool`` rebuild, and after a mid-study exception;
 - chaos fault logs are identical serial vs pooled on the batched/arena
-  path, so the fast path cannot hide or reorder injected faults.
+  path, and against the private-SVD oracle (``tests/oracle.py``), so
+  the fast path cannot hide or reorder injected faults.
 """
 
 import os
@@ -36,6 +37,7 @@ from repro.pipeline.shm import (
 )
 from repro.pipeline.study import run_ixp_study
 from repro.stream.batches import replay_scenario
+from tests.oracle import oracle_study
 
 SEED = int(os.environ.get("CHAOS_SEED", "7"))
 RETRY = RetryPolicy(max_attempts=3, base_delay=0.0)
@@ -242,9 +244,9 @@ class TestStudyDrainsItsArena:
             result = run_ixp_study(
                 small_frame, small_scenario.ixp_name, n_jobs=2, retry=RETRY
             )
-        # The rebuilt pool re-ran the initializer, re-attaching both the
-        # panel block and the prefactor slabs by name; the table and the
-        # tmpfs are untouched.
+        # The rebuilt pool re-ran the initializer, re-attaching the panel
+        # block, and the retried task re-attached its prefactor slabs by
+        # name; the table and the tmpfs are untouched.
         assert result.rows == baseline.rows
         assert live_arena_blocks() == ()
         assert live_panel_blocks() == ()
@@ -290,9 +292,7 @@ class TestChaosParityOnTheFastPath:
             batched = run_ixp_study(small_frame, small_scenario.ixp_name)
             batched_log = fault_events()
             clear_events()
-            plain = run_ixp_study(
-                small_frame, small_scenario.ixp_name, batch_fits=False
-            )
+            plain = oracle_study(small_frame, small_scenario.ixp_name)
             plain_log = fault_events()
         assert batched.rows == plain.rows
         assert batched_log == plain_log
