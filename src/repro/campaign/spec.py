@@ -232,12 +232,36 @@ def _staggered_join(
             f"{len(donors)} donor ASes"
         )
     join_day = spec.effective_join_day
-    picks = rng.permutation(len(donors))[:n]
-    for i, pick in enumerate(sorted(int(p) for p in picks)):
+    order = [int(p) for p in rng.permutation(len(donors))]
+    offsets = [float(rng.integers(6, 18)) for _ in range(n)]
+    # Joining peers the donor with every member over the fabric, so a
+    # donor whose churn buys a regional after its join hour would add a
+    # link it already has: pass it over for the next donor in order.
+    passed: set[int] = set()
+    while True:
+        picks = sorted([p for p in order if p not in passed][:n])
+        if len(picks) < n:
+            raise SimulationError(
+                f"scenario {spec.name!r} (kind=staggered-join): {n} late "
+                f"joiners but only {len(donors) - len(passed)} of "
+                f"{len(donors)} donor ASes keep their links after joining"
+            )
+        hours = [
+            (join_day + 1 + (i % max(spread, 1))) * 24.0 + offsets[i] for i in range(n)
+        ]
+        churned = {
+            pick
+            for pick, hour in zip(picks, hours)
+            if any(
+                isinstance(e, NewLinkEvent) and e.time_hour >= hour
+                for e in _link_events(scenario, donors[pick])
+            )
+        }
+        if not churned:
+            break
+        passed |= churned
+    for pick, hour in zip(picks, hours):
         asn = donors[pick]
-        hour = (join_day + 1 + (i % max(spread, 1))) * 24.0 + float(
-            rng.integers(6, 18)
-        )
         scenario.timeline.add_event(
             IxpJoinEvent(
                 time_hour=hour, asn=asn, ixp_name=scenario.ixp_name,
@@ -247,6 +271,34 @@ def _staggered_join(
         for group in scenario.user_groups:
             if group.unit[0] == asn and group.unit not in scenario.treated_units:
                 scenario.treated_units.append(group.unit)
+
+
+def _link_events(scenario: Scenario, asn: int) -> list[NewLinkEvent | DepeeringEvent]:
+    """The timeline's permanent link events touching *asn*, time-sorted."""
+    return [
+        e
+        for e in scenario.timeline.events
+        if isinstance(e, (NewLinkEvent, DepeeringEvent)) and asn in (e.a_asn, e.b_asn)
+    ]
+
+
+def _providers_at(scenario: Scenario, asn: int, hour: float) -> set[int]:
+    """Providers *asn* holds just before *hour*.
+
+    The base topology's providers, replayed through the timeline's link
+    events for *asn* that precede *hour* (``build_table1_scenario``'s
+    background churn buys one regional and drops the other).
+    """
+    held = set(scenario.topology.providers(asn))
+    for e in _link_events(scenario, asn):
+        if e.time_hour >= hour:
+            break
+        if isinstance(e, NewLinkEvent):
+            if e.provider and e.a_asn == asn:
+                held.add(e.b_asn)
+        else:
+            held.discard(e.b_asn if e.a_asn == asn else e.a_asn)
+    return held
 
 
 def _regional_upstreams(scenario: Scenario, asn: int) -> set[int]:
@@ -333,25 +385,42 @@ def _route_leak(
 ) -> None:
     """One donor's routes leak through a distant transit.
 
-    The leaker buys transit from the London tier-1 and tears down its
-    regional adjacency shortly after — its path to the Johannesburg CDN
-    now trombones intercontinentally, a large sustained RTT shift with
-    no IXP involvement at all.
+    The leaker buys transit from the London tier-1 (unless it already
+    does) and tears down the regional adjacencies it holds at that hour
+    shortly after — its path to the Johannesburg CDN now trombones
+    intercontinentally, a large sustained RTT shift with no IXP
+    involvement at all.  A leaker whose links change after the leak
+    hour (background churn would drop a link the leak already tore
+    down) is passed over for the next donor in order; an explicit
+    ``leaker_index`` that names one is an error.
     """
     allowed = {"leak_day", "leaker_index"}
     day = int(_param(spec, "leak_day", spec.effective_join_day + 1, allowed))
     donors = _donor_asns(spec)
+    explicit = "leaker_index" in spec.params
     index = int(_param(spec, "leaker_index", int(rng.integers(0, len(donors))), allowed))
-    asn = donors[index % len(donors)]
     hour = day * 24.0 + float(rng.integers(1, 12))
-    scenario.timeline.add_event(
-        NewLinkEvent(time_hour=hour, a_asn=asn, b_asn=_GLOBAL_LON, provider=True)
-    )
-    for upstream in scenario.topology.providers(asn):
-        if upstream in (_REGIONAL_JNB, _REGIONAL_CPT):
-            scenario.timeline.add_event(
-                DepeeringEvent(time_hour=hour + 0.5, a_asn=asn, b_asn=upstream)
-            )
+    order = [donors[(index + k) % len(donors)] for k in range(1 if explicit else len(donors))]
+    settled = [
+        asn for asn in order
+        if not any(e.time_hour >= hour for e in _link_events(scenario, asn))
+    ]
+    if not settled:
+        raise SimulationError(
+            f"scenario {spec.name!r} (kind=route-leak): no donor AS keeps its "
+            f"links after the leak hour {hour:g}"
+            + (f" (leaker_index={index} names AS{order[0]})" if explicit else "")
+        )
+    asn = settled[0]
+    held = _providers_at(scenario, asn, hour)
+    if _GLOBAL_LON not in held:
+        scenario.timeline.add_event(
+            NewLinkEvent(time_hour=hour, a_asn=asn, b_asn=_GLOBAL_LON, provider=True)
+        )
+    for upstream in sorted(held & {_REGIONAL_JNB, _REGIONAL_CPT}):
+        scenario.timeline.add_event(
+            DepeeringEvent(time_hour=hour + 0.5, a_asn=asn, b_asn=upstream)
+        )
 
 
 @register_kind("congestion-shock")

@@ -3,21 +3,33 @@
 The format is plain RFC-4180-ish CSV via the stdlib ``csv`` module.  On
 read, columns are type-inferred: values parse as int, then float, then
 bool literals (``true``/``false``), falling back to strings; empty cells
-are missing.  Inference and parsing run column-wise — one bulk numpy
-cast per homogeneous column, with a per-cell fallback only for mixed
-columns — and writing formats each column as one vectorized cast, so
+are missing.
+
+The reader works a column at a time and parses each distinct cell once.
+The rows are transposed in one ``zip`` (rows short of the header's width
+are padded with missing cells first).  For each column,
+``dict.fromkeys`` lists its distinct cells in first-appearance order;
+inference runs on that list — one bulk numpy cast per homogeneous
+column, a per-cell fallback only for mixed ones — and every row then
+gathers its cell's parsed value by code.  Measurement exports repeat a
+handful of ASNs, cities and paths across ~10^5 rows, so the parse cost
+follows the number of distinct cells, not rows; a column whose every
+cell is distinct is cast as it stands.  Float columns land in the
+caller's ``alloc`` buffers (shared-memory arenas) whichever stage
+parses them.  Writing formats each column as one vectorized cast, so
 the ``simulate → import`` round-trip scales with columns, not cells.
 
 Rows wider than the header are an error (their extra cells would
 otherwise vanish silently); underscore number literals like ``1_000``,
 which Python's ``int()`` accepts but no CSV writer emits, stay strings.
+An all-int column beyond int64 reads as float.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from pathlib import Path
 from typing import Any
 
@@ -30,6 +42,8 @@ from repro.frames.column import (
     KIND_INT,
     KIND_OBJECT,
     Column,
+    _coerce,
+    infer_kind,
 )
 from repro.frames.frame import Frame
 
@@ -54,55 +68,88 @@ def _parse_cell(text: str | None) -> Any:
     return text
 
 
-def _parse_column(
-    name: str,
-    raw: list[str | None],
-    alloc: Callable[[str, int], np.ndarray] | None = None,
-) -> Column:
-    """Bulk-parse one column of raw CSV cells.
+def _parse_distinct(cells: list[str | None]) -> tuple[str, np.ndarray]:
+    """Infer the kind of a column from its distinct raw cells and parse them.
 
-    Missing cells are ``None``/``""``.  Homogeneous numeric and bool
-    columns are converted with one numpy cast; anything mixed falls back
-    to the per-cell parser (object kind, inferred like the historical
-    row-wise reader).  *alloc* — the
-    :meth:`~repro.pipeline.shm.SharedFrameArena.column_alloc` hook —
-    provides the float column's destination buffer, so an imported
-    frame's numeric storage can land directly in shared memory.
+    Returns ``(kind, parsed)`` with ``parsed[i]`` the value of
+    ``cells[i]`` (NaN or ``None`` for a missing cell).  The stages
+    cast every present cell or none, so running them on the distinct
+    cells yields the kind the whole column would infer: homogeneous
+    int, float and bool columns take one numpy cast, and anything
+    mixed falls back to the per-cell parser (object kind, inferred
+    like the historical row-wise reader).
     """
-    n = len(raw)
-    missing = np.array([c is None or c == "" for c in raw], dtype=bool)
-    present = [raw[i] for i in np.flatnonzero(~missing)]
+    missing = np.array([c is None or c == "" for c in cells], dtype=bool)
+    present = [c for c in cells if c is not None and c != ""]
     if not present:
-        return Column(name, [None] * n)
+        return KIND_OBJECT, np.full(len(cells), None, dtype=object)
+    any_missing = len(present) < len(cells)
     # numpy's string-to-number casts accept underscore literals ("1_000")
     # that no CSV writer emits; any underscore disqualifies the bulk
     # numeric stages (the per-cell parser rejects them too).
-    if not any("_" in c for c in present):
+    if "_" not in "".join(present):
         strings = np.asarray(present)
-        if not missing.any():
+        if not any_missing:
             try:
-                return Column(name, strings.astype(np.int64), kind=KIND_INT)
-            except ValueError:
-                pass
+                return KIND_INT, strings.astype(np.int64)
+            except (ValueError, OverflowError):
+                pass  # not all ints, or beyond int64: try float
         try:
-            parsed = strings.astype(np.float64)
+            floats = strings.astype(np.float64)
         except ValueError:
-            parsed = None
-        if parsed is not None:
-            values = alloc(name, n) if alloc is not None else np.empty(n)
-            values.fill(np.nan)
-            values[~missing] = parsed
-            return Column(name, values, kind=KIND_FLOAT)
+            floats = None
+        if floats is not None:
+            parsed = np.full(len(cells), np.nan)
+            parsed[~missing] = floats
+            return KIND_FLOAT, parsed
     lowered = [c.lower() for c in present]
     if all(c in ("true", "false") for c in lowered):
-        bools = np.array([c == "true" for c in lowered], dtype=bool)
-        if not missing.any():
-            return Column(name, bools, kind=KIND_BOOL)
-        values_obj: list[Any] = [None] * n
-        for i, b in zip(np.flatnonzero(~missing), bools):
-            values_obj[i] = bool(b)
-        return Column(name, values_obj, kind=KIND_OBJECT)
-    return Column(name, [_parse_cell(c) for c in raw])
+        bools = [c == "true" for c in lowered]
+        if not any_missing:
+            return KIND_BOOL, np.array(bools, dtype=bool)
+        parsed = np.full(len(cells), None, dtype=object)
+        parsed[~missing] = bools
+        return KIND_OBJECT, parsed
+    values = [_parse_cell(c) for c in cells]
+    kind = infer_kind(values)
+    try:
+        return kind, _coerce(values, kind)
+    except OverflowError:  # an int beyond int64: keep the Python ints
+        return KIND_OBJECT, _coerce(values, KIND_OBJECT)
+
+
+def _parse_column(
+    name: str,
+    raw: Sequence[str | None],
+    alloc: Callable[[str, int], np.ndarray] | None = None,
+) -> Column:
+    """Parse one column of raw CSV cells, each distinct cell once.
+
+    Missing cells are ``None``/``""``.  The distinct cells, in
+    first-appearance order, go through :func:`_parse_distinct`; each
+    row then gathers its cell's parsed value by code.  A column whose
+    every cell is distinct skips the codes and is cast as it stands.
+    *alloc* — the
+    :meth:`~repro.pipeline.shm.SharedFrameArena.column_alloc` hook —
+    provides a float column's destination buffer, so an imported
+    frame's numeric storage can land directly in shared memory.
+    """
+    n = len(raw)
+    cells = list(dict.fromkeys(raw))
+    kind, parsed = _parse_distinct(cells)
+    codes = None
+    if len(cells) < n:
+        index = {c: i for i, c in enumerate(cells)}
+        codes = np.fromiter(map(index.__getitem__, raw), dtype=np.intp, count=n)
+    if kind == KIND_FLOAT and alloc is not None:
+        values = alloc(name, n)
+        if codes is None:
+            values[:] = parsed
+        else:
+            np.take(parsed, codes, out=values)
+    else:
+        values = parsed if codes is None else parsed[codes]
+    return Column(name, values, kind=kind)
 
 
 def read_csv(
@@ -126,29 +173,27 @@ def read_csv_text(
     columns into caller-provided buffers (shared-memory arenas); see
     :func:`_parse_column`.
     """
-    reader = csv.reader(io.StringIO(text))
-    rows = list(reader)
+    rows = list(csv.reader(io.StringIO(text)))
     if not rows:
         return Frame()
-    header = rows[0]
+    header, body = rows[0], rows[1:]
     width = len(header)
-    raw: list[list[str | None]] = []
-    for line_no, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) > width:
-            raise FrameError(
-                f"CSV row {line_no} has {len(row)} cells but the header "
-                f"has {width} columns"
-            )
-        if len(row) < width:
-            row = row + [None] * (width - len(row))
-        raw.append(row)
-    cols = [
-        _parse_column(name, [r[j] for r in raw], alloc=alloc)
-        for j, name in enumerate(header)
-    ]
-    return Frame(cols)
+    if not {*map(len, body)} <= {width}:
+        padded: list[list[str | None]] = []
+        for line_no, row in enumerate(body, start=2):
+            if not row:
+                continue
+            if len(row) > width:
+                raise FrameError(
+                    f"CSV row {line_no} has {len(row)} cells but the header "
+                    f"has {width} columns"
+                )
+            padded.append(row + [None] * (width - len(row)))
+        body = padded
+    raw = list(zip(*body)) or [()] * width
+    return Frame(
+        [_parse_column(name, cells, alloc=alloc) for name, cells in zip(header, raw)]
+    )
 
 
 def _format_cell(value: Any) -> str:

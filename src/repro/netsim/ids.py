@@ -20,7 +20,7 @@ def ip_to_int(text: str) -> int:
         raise SimulationError(f"malformed IPv4 address {text!r}")
     value = 0
     for part in parts:
-        if not part.isdigit():
+        if not part.isdecimal():
             raise SimulationError(f"malformed IPv4 address {text!r}")
         octet = int(part)
         if octet > 255:

@@ -23,11 +23,14 @@ from collections.abc import Mapping, Sequence
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 if TYPE_CHECKING:
     from repro.pipeline.shm import SharedFrameArena
 
 from repro.chaos.runtime import fault_point
-from repro.errors import FrameError
+from repro.errors import FrameError, SimulationError
+from repro.frames.column import Column, dense_rank
 from repro.frames.frame import Frame
 from repro.frames.io import read_csv_text
 from repro.netsim.ids import Prefix
@@ -61,7 +64,7 @@ def detect_crossings_from_hops(
             try:
                 if any(lan.contains(ip) for lan in lans):
                     seen.append(name)
-            except Exception:
+            except SimulationError:
                 continue  # unparseable hop entries ('*') are skipped
     return seen
 
@@ -72,8 +75,12 @@ def normalise_measurements(
 ) -> Frame:
     """Validate a raw import and derive the pipeline's expected columns.
 
-    Raises :class:`FrameError` with an actionable message when required
-    columns are missing or malformed.
+    Every derived column is computed a column at a time: ``unit`` is
+    formatted once per distinct ``(asn, city)`` pair, ``ixps`` (from
+    ``hop_ips``) once per distinct hop string, and ``day`` and
+    ``crosses_ixp`` in one array pass each.  Raises :class:`FrameError`
+    with an actionable message when required columns are missing or
+    malformed (non-numeric or non-finite ``time_hour``).
     """
     missing = [c for c in REQUIRED_COLUMNS if c not in raw]
     if missing:
@@ -85,31 +92,46 @@ def normalise_measurements(
         raw.numeric(col)  # raises when non-numeric
 
     out = raw.drop_missing(["asn", "city", "time_hour", "rtt_ms"])
-    if out.num_rows == 0:
+    n = out.num_rows
+    if n == 0:
         raise FrameError("no complete measurement rows after dropping missing")
 
-    out = out.derive("unit", lambda r: f"AS{int(r['asn'])}/{r['city']}")
-    out = out.derive("day", lambda r: int(float(r["time_hour"]) // 24))
+    out = out.with_column("unit", _unit_labels(out.column("asn"), out.column("city")))
+    hours = out.numeric("time_hour")
+    if not np.isfinite(hours).all():
+        raise FrameError("column 'time_hour' has non-finite values")
+    out = out.with_column("day", np.floor_divide(hours, 24).astype(np.int64))
 
     if "ixps" not in out:
         if ixp_prefixes and "hop_ips" in out:
-            out = out.derive(
-                "ixps",
-                lambda r: ",".join(
-                    detect_crossings_from_hops(r.get("hop_ips") or "", ixp_prefixes)
-                ),
+            codes, hops = out.column("hop_ips").factorize()
+            crossed = np.array(
+                [",".join(detect_crossings_from_hops(h or "", ixp_prefixes)) for h in hops],
+                dtype=object,
             )
+            out = out.with_column("ixps", crossed[codes])
         else:
-            out = out.with_column("ixps", [""] * out.num_rows)
-    out = out.derive("crosses_ixp", lambda r: bool(r["ixps"]))
+            out = out.with_column("ixps", np.full(n, "", dtype=object))
+    out = out.with_column(
+        "crosses_ixp", np.fromiter(map(bool, out["ixps"]), dtype=bool, count=n)
+    )
 
-    if "trigger" not in out:
-        out = out.with_column("trigger", ["unknown"] * out.num_rows)
-    if "server_site" not in out:
-        out = out.with_column("server_site", ["default"] * out.num_rows)
-    if "as_path" not in out:
-        out = out.with_column("as_path", [""] * out.num_rows)
+    for name, default in (("trigger", "unknown"), ("server_site", "default"), ("as_path", "")):
+        if name not in out:
+            out = out.with_column(name, np.full(n, default, dtype=object))
     return out
+
+
+def _unit_labels(asn: Column, city: Column) -> np.ndarray:
+    """``AS<asn>/<city>`` per row, formatted once per distinct pair."""
+    asn_codes, asns = asn.factorize()
+    city_codes, cities = city.factorize()
+    codes, first = dense_rank(asn_codes * len(cities) + city_codes)
+    labels = np.array(
+        [f"AS{int(asns[a])}/{cities[c]}" for a, c in zip(asn_codes[first], city_codes[first])],
+        dtype=object,
+    )
+    return labels[codes]
 
 
 def read_measurement_csv(

@@ -1,18 +1,42 @@
-"""The reference the batched-fit parity tests compare against.
+"""References the parity tests compare the shipped paths against.
 
-The study has one fit path: a planning pass batch-factors every robust
-unit's donor matrix and each task carries its unit's prefactor into
-:func:`~repro.pipeline.study._analyse_unit`.  The oracle runs the same
-stages — assignment, panel, plan, each with its fault point — and then
-fits every planned task with ``prefactor=None``, so each unit takes the
-private factorization inside :func:`~repro.synthcontrol.placebo.placebo_test`.
+Each reference is the straightforward form of an algorithm the package
+runs in a faster shape:
+
+- :func:`oracle_study` — the batched-fit study.  The study has one fit
+  path: a planning pass batch-factors every robust unit's donor matrix
+  and each task carries its unit's prefactor into
+  :func:`~repro.pipeline.study._analyse_unit`.  The oracle runs the same
+  stages — assignment, panel, plan, each with its fault point — and
+  then fits every planned task with ``prefactor=None``, so each unit
+  takes the private factorization inside
+  :func:`~repro.synthcontrol.placebo.placebo_test`.
+- :func:`oracle_read_csv_text` — the CSV reader, parsing every cell of
+  every column (the package parses each distinct cell once).
+- :func:`oracle_normalise_measurements` — the importer's normaliser,
+  deriving each column row by row through :meth:`Frame.derive` (the
+  package derives them column-wise).
+
+:func:`assert_frames_identical` is the comparison those parity tests
+use.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import math
+from typing import Any
+
+import numpy as np
+
 from repro.chaos.runtime import fault_point
+from repro.errors import FrameError
+from repro.frames.column import KIND_BOOL, KIND_FLOAT, KIND_INT, KIND_OBJECT, Column
+from repro.frames.frame import Frame
 from repro.pipeline.aggregate import rtt_panel
 from repro.pipeline.crossing import assign_treatment
+from repro.pipeline.importer import REQUIRED_COLUMNS, detect_crossings_from_hops
 from repro.pipeline.study import (
     StudyResult,
     StudyRow,
@@ -43,3 +67,148 @@ def oracle_study(
         assignment=assignment,
         skipped=tuple(o for o in outcomes if not isinstance(o, StudyRow)),
     )
+
+
+def _parse_cell(text: str | None) -> Any:
+    if text is None or text == "":
+        return None
+    if "_" not in text:
+        try:
+            return int(text)
+        except ValueError:
+            pass
+        try:
+            return float(text)
+        except ValueError:
+            pass
+    low = text.lower()
+    if low == "true":
+        return True
+    if low == "false":
+        return False
+    return text
+
+
+def _parse_column(name: str, raw: list[str | None]) -> Column:
+    """One column of raw CSV cells, every cell parsed (no distinct-cell pass)."""
+    n = len(raw)
+    missing = np.array([c is None or c == "" for c in raw], dtype=bool)
+    present = [raw[i] for i in np.flatnonzero(~missing)]
+    if not present:
+        return Column(name, [None] * n)
+    if not any("_" in c for c in present):
+        strings = np.asarray(present)
+        if not missing.any():
+            try:
+                return Column(name, strings.astype(np.int64), kind=KIND_INT)
+            except ValueError:
+                pass
+        try:
+            parsed = strings.astype(np.float64)
+        except ValueError:
+            parsed = None
+        if parsed is not None:
+            values = np.empty(n)
+            values.fill(np.nan)
+            values[~missing] = parsed
+            return Column(name, values, kind=KIND_FLOAT)
+    lowered = [c.lower() for c in present]
+    if all(c in ("true", "false") for c in lowered):
+        bools = np.array([c == "true" for c in lowered], dtype=bool)
+        if not missing.any():
+            return Column(name, bools, kind=KIND_BOOL)
+        values_obj: list[Any] = [None] * n
+        for i, b in zip(np.flatnonzero(~missing), bools):
+            values_obj[i] = bool(b)
+        return Column(name, values_obj, kind=KIND_OBJECT)
+    return Column(name, [_parse_cell(c) for c in raw])
+
+
+def oracle_read_csv_text(text: str) -> Frame:
+    """``read_csv_text(text)``, padding row by row and parsing every cell."""
+    rows = list(csv.reader(io.StringIO(text)))
+    if not rows:
+        return Frame()
+    header = rows[0]
+    width = len(header)
+    raw: list[list[str | None]] = []
+    for line_no, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) > width:
+            raise FrameError(
+                f"CSV row {line_no} has {len(row)} cells but the header "
+                f"has {width} columns"
+            )
+        if len(row) < width:
+            row = row + [None] * (width - len(row))
+        raw.append(row)
+    return Frame([_parse_column(name, [r[j] for r in raw]) for j, name in enumerate(header)])
+
+
+def oracle_normalise_measurements(raw: Frame, ixp_prefixes=None) -> Frame:
+    """``normalise_measurements(raw, ixp_prefixes)``, one row dict per derived cell."""
+    missing = [c for c in REQUIRED_COLUMNS if c not in raw]
+    if missing:
+        raise FrameError(
+            f"measurement import is missing required columns {missing}; "
+            f"have {raw.column_names}"
+        )
+    for col in ("time_hour", "rtt_ms"):
+        raw.numeric(col)
+
+    out = raw.drop_missing(["asn", "city", "time_hour", "rtt_ms"])
+    if out.num_rows == 0:
+        raise FrameError("no complete measurement rows after dropping missing")
+
+    out = out.derive("unit", lambda r: f"AS{int(r['asn'])}/{r['city']}")
+    out = out.derive("day", lambda r: int(float(r["time_hour"]) // 24))
+
+    if "ixps" not in out:
+        if ixp_prefixes and "hop_ips" in out:
+            out = out.derive(
+                "ixps",
+                lambda r: ",".join(
+                    detect_crossings_from_hops(r.get("hop_ips") or "", ixp_prefixes)
+                ),
+            )
+        else:
+            out = out.with_column("ixps", [""] * out.num_rows)
+    out = out.derive("crosses_ixp", lambda r: bool(r["ixps"]))
+
+    if "trigger" not in out:
+        out = out.with_column("trigger", ["unknown"] * out.num_rows)
+    if "server_site" not in out:
+        out = out.with_column("server_site", ["default"] * out.num_rows)
+    if "as_path" not in out:
+        out = out.with_column("as_path", [""] * out.num_rows)
+    return out
+
+
+def _same_value(a: Any, b: Any) -> bool:
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float) and math.isnan(a):
+        return math.isnan(b)
+    return a == b
+
+
+def assert_frames_identical(got: Frame, want: Frame) -> None:
+    """Equal as frames, and equal cell by cell including Python types.
+
+    ``Frame.__eq__`` compares object columns with ``==``, which treats
+    ``1``, ``1.0`` and ``True`` alike and NaN as unequal to itself; a
+    parity check must see the reference's exact objects.
+    """
+    assert got.column_names == want.column_names
+    for name in want.column_names:
+        g, w = got.column(name), want.column(name)
+        assert g.kind == w.kind, name
+        assert g.values.dtype == w.values.dtype, name
+        assert len(g) == len(w), name
+        if w.kind == KIND_FLOAT:
+            np.testing.assert_array_equal(g.values, w.values)
+        elif w.values.dtype == object:
+            assert all(_same_value(a, b) for a, b in zip(g.values, w.values)), name
+        else:
+            assert np.array_equal(g.values, w.values), name

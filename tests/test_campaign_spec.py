@@ -255,3 +255,87 @@ class TestDepeeringDonorChoice:
         )
         assert proc.returncode == 0, proc.stderr.decode()
         assert b"depeering-02" in proc.stdout
+
+
+class TestEveryKindBuildsAcrossDonorCounts:
+    """Each registered kind builds and applies its timeline at default days."""
+
+    @pytest.mark.parametrize("n_donors", range(4, 25))
+    def test_default_fleet_builds(self, n_donors):
+        for spec in default_fleet(len(scenario_kinds()), n_donor_ases=n_donors):
+            scenario = build_scenario(spec)
+            scenario.timeline.state_at(0.0)  # applies every scheduled event
+
+    @pytest.mark.parametrize("kind", ["route-leak", "staggered-join"])
+    def test_more_seeds_build(self, kind):
+        for seed in range(12):
+            for n_donors in (4, 6, 7, 12, 17, 20, 23):
+                spec = ScenarioSpec(
+                    name="x", kind=kind, seed=seed, n_donor_ases=n_donors
+                )
+                build_scenario(spec).timeline.state_at(0.0)
+
+
+class TestRouteLeak:
+    @staticmethod
+    def _leak(spec):
+        from repro.netsim.events import DepeeringEvent, NewLinkEvent
+
+        base = build_scenario(
+            ScenarioSpec(name="b", kind="baseline", seed=spec.seed,
+                         n_donor_ases=spec.n_donor_ases)
+        )
+        scenario = build_scenario(spec)
+        before = {repr(e) for e in base.timeline.events}
+        added = [e for e in scenario.timeline.events if repr(e) not in before]
+        torn = [e for e in added if isinstance(e, DepeeringEvent)]
+        bought = [e for e in added if isinstance(e, NewLinkEvent)]
+        return scenario, torn, bought
+
+    def test_leaker_ends_on_london_with_no_regional(self):
+        # seed 4 at 6 donors: the default leaker churns before the leak,
+        # so the regional it holds then is the one churn bought.
+        spec = ScenarioSpec(name="leak", kind="route-leak", seed=4, n_donor_ases=6)
+        scenario, torn, bought = self._leak(spec)
+        assert torn
+        leaker = torn[0].a_asn
+        hour = torn[0].time_hour
+        providers = scenario.timeline.state_at(hour + 1.0).topology.providers(leaker)
+        assert 64601 in providers
+        assert not {64611, 64612} & set(providers)
+        assert all(e.a_asn == leaker for e in torn + bought)
+
+    def test_explicit_leaker_that_churns_later_is_a_named_error(self):
+        from repro.campaign.spec import _donor_asns, _link_events
+
+        for seed in range(12):
+            spec = ScenarioSpec(name="leak", kind="route-leak", seed=seed, n_donor_ases=12)
+            base = build_scenario(
+                ScenarioSpec(name="b", kind="baseline", seed=seed, n_donor_ases=12)
+            )
+            late = [
+                i for i, asn in enumerate(_donor_asns(spec))
+                if any(e.time_hour > (spec.effective_join_day + 2) * 24.0
+                       for e in _link_events(base, asn))
+            ]
+            if late:
+                break
+        bad = ScenarioSpec(name="leak", kind="route-leak", seed=seed, n_donor_ases=12,
+                           params={"leaker_index": late[0]})
+        with pytest.raises(SimulationError, match="kind=route-leak"):
+            build_scenario(bad)
+
+
+def test_cli_campaign_route_leak_fleet_at_six_donors_exits_zero():
+    import os
+    import subprocess
+    import sys
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "campaign", "--scenarios", "7",
+         "--donors", "6", "--budget", "28"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH="src"), timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert b"route-leak-04" in proc.stdout

@@ -83,7 +83,7 @@ class TestIpAddresses:
             assert int_to_ip(ip_to_int(text)) == text
 
     def test_malformed(self):
-        for bad in ("1.2.3", "a.b.c.d", "1.2.3.4.5", "300.0.0.1"):
+        for bad in ("1.2.3", "a.b.c.d", "1.2.3.4.5", "300.0.0.1", "1.2.3.²", "*"):
             with pytest.raises(SimulationError):
                 ip_to_int(bad)
 

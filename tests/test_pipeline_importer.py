@@ -1,9 +1,15 @@
 """Unit tests for the measurement CSV importer."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 from repro.errors import FrameError
-from repro.frames import Frame, write_csv
+from repro.frames import Frame, read_csv_text, to_csv_text, write_csv
 from repro.netsim.ids import Prefix
 from repro.pipeline import (
     detect_crossings_from_hops,
@@ -11,6 +17,11 @@ from repro.pipeline import (
     load_ixp_prefixes,
     normalise_measurements,
     run_ixp_study,
+)
+from tests.oracle import (
+    assert_frames_identical,
+    oracle_normalise_measurements,
+    oracle_read_csv_text,
 )
 
 PREFIXES = {"NAPAfrica-JNB": [Prefix.parse("196.60.8.0/24")]}
@@ -45,6 +56,7 @@ class TestHopMatching:
         assert detect_crossings_from_hops("*|?|196.60.8.3", PREFIXES) == [
             "NAPAfrica-JNB"
         ]
+        assert detect_crossings_from_hops("*|*|10.0.0.1|*", PREFIXES) == []
 
     def test_each_ixp_once(self):
         hops = "196.60.8.1|196.60.8.2"
@@ -120,3 +132,108 @@ class TestRoundTripThroughPipeline:
             assert row.rtt_delta_ms == pytest.approx(
                 by_unit[row.unit].rtt_delta_ms, abs=1e-6
             )
+
+
+class TestMalformedHops:
+    def test_non_ascii_digit_octet_is_skipped(self):
+        assert detect_crossings_from_hops("196.60.8.²|196.60.8.3", PREFIXES) == [
+            "NAPAfrica-JNB"
+        ]
+
+    def test_programming_errors_propagate(self, monkeypatch):
+        def broken(self, address):
+            raise TypeError("bug in the matcher")
+
+        monkeypatch.setattr(Prefix, "contains", broken)
+        with pytest.raises(TypeError, match="bug in the matcher"):
+            detect_crossings_from_hops("196.60.8.3", PREFIXES)
+
+
+class TestColumnwiseMatchesRowwise:
+    """``normalise_measurements`` against the row-wise oracle."""
+
+    def test_generated_frame(self, small_frame):
+        assert_frames_identical(
+            normalise_measurements(small_frame),
+            oracle_normalise_measurements(small_frame),
+        )
+
+    def test_csv_round_trip_of_generated_frame(self, small_frame):
+        text = to_csv_text(small_frame)
+        assert_frames_identical(read_csv_text(text), oracle_read_csv_text(text))
+
+    def test_missing_required_cells_and_float_asn(self):
+        text = (
+            "asn,city,time_hour,rtt_ms,trigger\n"
+            "3741.0,East London,0.5,30.0,baseline\n"
+            ",East London,1.5,31.0,baseline\n"
+            "37053.0,Cape Town,,45.0,\n"
+            "37053.0,,2.0,40.0,x\n"
+            "3741.0,East London,25.0,,\n"
+            "37053.0,Cape Town,49.0,41.0,baseline\n"
+            "3741.0,East London,47.9,29.0,baseline\n"
+        )
+        raw = read_csv_text(text)
+        assert raw.column("asn").kind == "float"
+        out = normalise_measurements(raw)
+        assert_frames_identical(out, oracle_normalise_measurements(raw))
+        assert out["unit"].tolist() == [
+            "AS3741/East London", "AS37053/Cape Town", "AS3741/East London",
+        ]
+        assert out["day"].tolist() == [0, 2, 1]
+
+    def test_hop_ips_with_prefix_mapping(self):
+        prefixes = load_ixp_prefixes(
+            {"NAPAfrica-JNB": ["196.60.8.0/24"], "NAPAfrica-CPT": ["196.10.140.0/24"]}
+        )
+        hops = [
+            "10.0.1.1|10.0.2.1",
+            "10.0.1.1|196.60.8.7|10.0.3.1",
+            "*|196.10.140.2|196.60.8.9",
+            "",
+            "10.0.4.1|*",
+        ]
+        lines = ["asn,city,time_hour,rtt_ms,hop_ips"]
+        for i in range(60):
+            lines.append(
+                f"{3741 + i % 3},City{i % 4},{i * 1.7},{20 + i % 7},{hops[i % 5]}"
+            )
+        raw = read_csv_text("\n".join(lines) + "\n")
+        out = normalise_measurements(raw, prefixes)
+        assert_frames_identical(out, oracle_normalise_measurements(raw, prefixes))
+        assert set(out["ixps"]) == {"", "NAPAfrica-JNB", "NAPAfrica-CPT,NAPAfrica-JNB"}
+
+    def test_non_finite_time_hour_is_a_typed_error(self):
+        raw = read_csv_text("asn,city,time_hour,rtt_ms\n1,A,inf,3.0\n1,A,2.0,3.0\n")
+        with pytest.raises(FrameError, match="time_hour"):
+            normalise_measurements(raw)
+
+
+def test_study_import_path_loads_no_scipy():
+    """The import path and a robust study plus a stream run without scipy."""
+    script = textwrap.dedent(
+        """
+        import sys
+        import repro.frames.io, repro.mplatform, repro.netsim, repro.pipeline, repro.stream
+        from repro.netsim import build_table1_scenario
+        from repro.mplatform import measurements_frame
+        from repro.pipeline import run_ixp_study
+        from repro.stream import StreamStudy, slice_frame
+
+        scenario = build_table1_scenario(n_donor_ases=6, duration_days=12, join_day=6, seed=0)
+        frame = measurements_frame(scenario, rng=0)
+        run_ixp_study(frame, scenario.ixp_name, method="robust")
+        live = StreamStudy(scenario.ixp_name)
+        for batch in slice_frame(frame, batch_hours=48.0):
+            live.ingest(batch)
+        live.finalize()
+        print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+        """
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
