@@ -3,13 +3,14 @@
 Three claims, measured on the paper-scale scenario (8 treated units,
 30 donor ASes, 60 days):
 
-1. **Transport**: unit tasks ship a :class:`SharedPanelRef` (a block
-   name), not the panel matrix, so the pool's pickling cost no longer
-   grows with the panel — the bug that once made ``n_jobs=4`` run at
-   0.71x of serial.  Parallel must never lose to serial again, on any
-   core count.
+1. **Transport**: unit tasks ship a :class:`SharedPanelRef` (an arena
+   block's name plus the panel's time and unit labels), not the panel
+   matrix, so the pool's pickling cost no longer grows with the matrix
+   — the bug that once made ``n_jobs=4`` run at 0.71x of serial.
+   Parallel must never lose to serial again, on any core count.
 2. **Reuse**: the placebo loop's per-donor de-noising shares one SVD
-   per unit (batched leave-one-out on the serial path, downdated per
+   per unit (one :func:`~repro.synthcontrol.robust.denoise_leave_one_out`
+   call over the whole loop on the serial path, a ``(col,)`` subset per
    donor in workers) instead of refitting from scratch, which is
    faster on any core count;
 3. **Fan-out**: ``n_jobs`` spreads independent unit fits over a process

@@ -31,6 +31,7 @@ sorted scenario names and seeded hashes, never from completion order.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -64,7 +65,7 @@ from repro.pipeline.aggregate import rtt_panel
 from repro.pipeline.checkpoint import StudyCheckpoint
 from repro.pipeline.crossing import assign_treatment
 from repro.pipeline.executor import RetryPolicy, get_executor, resolve_n_jobs
-from repro.pipeline.shm import SharedFrameArena, SharedPanelOwner, SharedPanelRef
+from repro.pipeline.shm import SharedFrameArena, SharedPanelRef
 from repro.pipeline.study import (
     StudyResult,
     StudyRow,
@@ -75,7 +76,11 @@ from repro.stream.state import ingest_frame
 from repro.studies.ixp_latency import scenario_truth
 from repro.synthcontrol.donor import Panel
 from repro.synthcontrol.placebo import _PlaceboContext, _placebo_refit_inner
-from repro.synthcontrol.robust import DenoiseCache, robust_synthetic_control
+from repro.synthcontrol.robust import (
+    DonorFactorization,
+    factor_donor_matrices,
+    robust_synthetic_control,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -114,18 +119,22 @@ class _RefitTask:
     min_pre_rmse: float = 1e-9
 
 
-#: Per-worker-process content-keyed SVD cache: every refit of the same
-#: (scenario, unit) donor matrix reuses one factorization.  Recreated
-#: when it grows past the bound so a long campaign cannot leak SVDs.
-_WORKER_CACHE = DenoiseCache()
+#: Per-worker-process factorizations keyed by donor-matrix content:
+#: every refit of the same (scenario, unit) donor matrix reuses one SVD.
+#: Emptied when it grows past the bound so a long campaign cannot leak
+#: SVDs.
+_WORKER_CACHE: dict[tuple, DonorFactorization] = {}
 _WORKER_CACHE_CAP = 64
 
 
-def _worker_cache() -> DenoiseCache:
-    global _WORKER_CACHE
-    if len(_WORKER_CACHE._factorizations) > _WORKER_CACHE_CAP:
-        _WORKER_CACHE = DenoiseCache()
-    return _WORKER_CACHE
+def _worker_factorization(matrix: np.ndarray) -> DonorFactorization:
+    key = (matrix.shape, hashlib.sha1(np.ascontiguousarray(matrix).tobytes()).digest())
+    fact = _WORKER_CACHE.get(key)
+    if fact is None:
+        if len(_WORKER_CACHE) >= _WORKER_CACHE_CAP:
+            _WORKER_CACHE.clear()
+        fact = _WORKER_CACHE[key] = factor_donor_matrices([matrix])[0]
+    return fact
 
 
 def _task_panel(panel: Panel | SharedPanelRef) -> Panel:
@@ -136,7 +145,7 @@ def _base_fit(item: tuple[str, _UnitTask]) -> CampaignUnitFit | tuple[str, str]:
     """Fit one scenario's unit (no placebos): fit or skip.
 
     The study's own donor screen (:meth:`_UnitTask.donor_pool`) feeds
-    the same cached robust fit :func:`~repro.synthcontrol.placebo.placebo_test`
+    the same robust fit :func:`~repro.synthcontrol.placebo.placebo_test`
     runs; the placebo loop is left to the budget allocator.  The fault
     key is scenario-qualified (``"<scenario>/<unit>"``) so chaos plans
     can target one scenario's fits without touching its neighbours'.
@@ -154,7 +163,6 @@ def _base_fit(item: tuple[str, _UnitTask]) -> CampaignUnitFit | tuple[str, str]:
                 task.pre_periods,
                 treated_name=task.unit,
                 donor_names=donors,
-                cache=DenoiseCache(),
                 **dict(task.fit_kwargs),
             )
         except (DonorPoolError, EstimationError) as exc:
@@ -196,7 +204,7 @@ def _campaign_refit(task: _RefitTask) -> tuple[str, float | None, str]:
             "campaign.refit", key=f"{task.scenario}/{task.unit}/{donor}"
         )
         matrix = np.column_stack([panel.series(d) for d in task.donors])
-        fact = _worker_cache().factorization(matrix)
+        fact = _worker_factorization(matrix)
         ctx = _PlaceboContext(
             donors=matrix,
             donor_names=task.donors,
@@ -230,7 +238,7 @@ class _ScenarioState:
     truth: dict[str, float]
     assignment: Any
     panel: Panel
-    owner: SharedPanelOwner | None
+    shared: SharedPanelRef | None
     plan: list
     checkpoint: StudyCheckpoint | None
     fits: dict[str, CampaignUnitFit] = field(default_factory=dict)
@@ -275,7 +283,19 @@ class _ScenarioState:
         return vals
 
     def task_panel(self) -> Panel | SharedPanelRef:
-        return self.owner.ref if self.owner is not None else self.panel
+        return self.shared if self.shared is not None else self.panel
+
+
+def _converged(state: _ScenarioState, min_ratios: int, tol: float) -> bool:
+    """At least *min_ratios* surviving ratios and a CI width within *tol*.
+
+    An exhausted refit queue is not convergence: a scenario whose CI
+    is still wide when its queue runs dry is ``exhausted``, not
+    converged.
+    """
+    values = state.ratio_values()
+    width = placebo_ci_width(values)
+    return len(values) >= min_ratios and math.isfinite(width) and width <= tol
 
 
 def _build_refit_queue(state: _ScenarioState) -> list[tuple[str, int]]:
@@ -331,6 +351,8 @@ class ScenarioVerdict:
     placebo_refits: int
     ci_width: float
     converged: bool
+    #: The scenario's refit queue ran dry (every placebo refit spent).
+    exhausted: bool = False
 
     def to_dict(self) -> dict[str, Any]:
         data = asdict(self)
@@ -365,6 +387,7 @@ class CampaignResult:
         lines = [header, "-" * len(header)]
         for v in self.verdicts:
             width = "inf" if math.isinf(v.ci_width) else f"{v.ci_width:.3f}"
+            conv = "yes" if v.converged else "exh" if v.exhausted else "no"
             est = "n/a" if math.isnan(v.mean_delta_ms) else f"{v.mean_delta_ms:+.2f}"
             true = "n/a" if math.isnan(v.mean_true_ms) else f"{v.mean_true_ms:+.2f}"
             lines.append(
@@ -372,7 +395,7 @@ class CampaignResult:
                 f"{est:>10} {true:>11} {v.n_significant:>3} "
                 f"{'yes' if v.consistent_effect else 'no':>10} "
                 f"{v.placebo_refits:>6} {width:>8} "
-                f"{'yes' if v.converged else 'no':>4}"
+                f"{conv:>4}"
             )
         lines.append("")
         lines.append(
@@ -388,6 +411,7 @@ class CampaignResult:
             "scenario", "kind", "seed", "n_units", "n_skipped",
             "mean_delta_ms", "mean_true_ms", "n_significant",
             "consistent_effect", "placebo_refits", "ci_width", "converged",
+            "exhausted",
         ]
         writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
         writer.writeheader()
@@ -411,7 +435,7 @@ class CampaignResult:
 
     @property
     def all_converged(self) -> bool:
-        """Every scenario frozen or fully sampled."""
+        """Every scenario's CI within tolerance (an exhausted queue is not)."""
         return all(v.converged for v in self.verdicts)
 
     def refits_until_converged(self) -> int | None:
@@ -590,6 +614,8 @@ def run_campaign(
     executor = None
     spent = 0
     trace: list[AllocationRound] = []
+    # Pooled campaigns share every scenario's panel through one arena.
+    panels = SharedFrameArena(tag="campaign-panels") if workers > 1 else None
     try:
         with span(
             "campaign",
@@ -619,11 +645,9 @@ def run_campaign(
                         # drop them before closing so the unmap succeeds.
                         frame = None
                         arena.close()
-                    owner = (
-                        SharedPanelOwner.from_panel(panel) if workers > 1 else None
-                    )
-                    if owner is not None:
-                        panel = owner.panel
+                    shared = None
+                    if panels is not None:
+                        panel, shared = panels.share_panel(panel)
                     ckpt = None
                     if ckpt_dir is not None:
                         ckpt = StudyCheckpoint(
@@ -638,7 +662,7 @@ def run_campaign(
                         truth=scenario_truth(scenario),
                         assignment=assignment,
                         panel=panel,
-                        owner=owner,
+                        shared=shared,
                         plan=prepare_unit_plan(
                             panel,
                             assignment,
@@ -649,7 +673,7 @@ def run_campaign(
                             fit_kwargs=tuple(
                                 sorted({"energy": energy, "ridge": ridge}.items())
                             ),
-                            task_panel=owner.ref if owner is not None else panel,
+                            task_panel=shared if shared is not None else panel,
                         ),
                         checkpoint=ckpt,
                     )
@@ -811,29 +835,17 @@ def run_campaign(
                 for state in states:
                     width = placebo_ci_width(state.ratio_values())
                     widths_after[state.name] = width
-                    if (
-                        not state.frozen
-                        and len(state.ratio_values()) >= min_ratios
-                        and math.isfinite(width)
-                        and width <= tol
-                    ):
-                        if allocation == "adaptive":
-                            state.frozen = True
-                            metrics.counter(
-                                "campaign_scenarios_frozen_total",
-                                "scenarios frozen by the adaptive allocator",
-                            ).inc()
                     # The trace's convergence flag is evaluated for both
                     # allocation modes (uniform never *acts* on it) so
                     # adaptive-vs-uniform comparisons read one field.
-                    converged_after[state.name] = (
-                        state.remaining == 0
-                        or (
-                            len(state.ratio_values()) >= min_ratios
-                            and math.isfinite(width)
-                            and width <= tol
-                        )
-                    )
+                    converged = _converged(state, min_ratios, tol)
+                    converged_after[state.name] = converged
+                    if converged and not state.frozen and allocation == "adaptive":
+                        state.frozen = True
+                        metrics.counter(
+                            "campaign_scenarios_frozen_total",
+                            "scenarios frozen by the adaptive allocator",
+                        ).inc()
                 trace.append(
                     AllocationRound(
                         index=round_index,
@@ -897,14 +909,8 @@ def run_campaign(
                         consistent_effect=study.consistent_effect,
                         placebo_refits=state.executed,
                         ci_width=width,
-                        converged=(
-                            state.remaining == 0
-                            or (
-                                len(state.ratio_values()) >= min_ratios
-                                and math.isfinite(width)
-                                and width <= tol
-                            )
-                        ),
+                        converged=_converged(state, min_ratios, tol),
+                        exhausted=state.remaining == 0,
                     )
                 )
                 if telemetry is not None:
@@ -915,8 +921,8 @@ def run_campaign(
         for state in states:
             if state.checkpoint is not None:
                 state.checkpoint.close()
-            if state.owner is not None:
-                state.owner.close()
+        if panels is not None:
+            panels.close()
     return CampaignResult(
         verdicts=tuple(verdicts),
         studies=studies,

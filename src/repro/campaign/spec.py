@@ -155,7 +155,13 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ScenarioSpec":
-        """Rebuild a spec from :meth:`to_dict` output (or hand-written YAML)."""
+        """Rebuild a spec from :meth:`to_dict` output (or hand-written YAML).
+
+        Malformed input raises :class:`SimulationError` naming the key
+        and the scenario.
+        """
+        if not isinstance(data, dict):
+            raise SimulationError(f"scenario spec must be a mapping, got {data!r}")
         known = {
             "name", "kind", "seed", "measurement_seed", "n_donor_ases",
             "duration_days", "join_day", "user_scale", "ingest_batches",
@@ -164,25 +170,43 @@ class ScenarioSpec:
         unknown = set(data) - known
         if unknown:
             raise SimulationError(
-                f"scenario spec has unknown keys {sorted(unknown)} "
+                f"scenario spec has unknown keys {sorted(unknown, key=str)} "
                 f"(name={data.get('name')!r})"
             )
         if "name" not in data:
             raise SimulationError("scenario spec is missing 'name'")
+        name = str(data["name"])
+
+        def get(key: str, convert: Callable[[Any], Any], default: Any) -> Any:
+            return _convert(convert, data.get(key, default), key, f"scenario {name!r}")
+
+        params = data.get("params", {})
+        if not isinstance(params, dict):
+            raise SimulationError(
+                f"scenario {name!r}: 'params' must be a mapping, got {params!r}"
+            )
         return cls(
-            name=str(data["name"]),
+            name=name,
             kind=str(data.get("kind", "baseline")),
-            seed=int(data.get("seed", 0)),
-            measurement_seed=int(data.get("measurement_seed", 1)),
-            n_donor_ases=int(data.get("n_donor_ases", 12)),
-            duration_days=int(data.get("duration_days", 20)),
-            join_day=(
-                None if data.get("join_day") is None else int(data["join_day"])
-            ),
-            user_scale=float(data.get("user_scale", 1.0)),
-            ingest_batches=int(data.get("ingest_batches", 1)),
-            params=dict(data.get("params", {})),
+            seed=get("seed", int, 0),
+            measurement_seed=get("measurement_seed", int, 1),
+            n_donor_ases=get("n_donor_ases", int, 12),
+            duration_days=get("duration_days", int, 20),
+            join_day=None if data.get("join_day") is None else get("join_day", int, None),
+            user_scale=get("user_scale", float, 1.0),
+            ingest_batches=get("ingest_batches", int, 1),
+            params=dict(params),
         )
+
+
+def _convert(convert: Callable[[Any], Any], value: Any, key: str, where: str) -> Any:
+    """``convert(value)``, or a :class:`SimulationError` naming *key* and *where*."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise SimulationError(
+            f"{where}: {key!r} must be {convert.__name__}, got {value!r}"
+        ) from None
 
 
 def _spec_rng(spec: ScenarioSpec) -> np.random.Generator:
@@ -517,16 +541,17 @@ def parse_campaign(data: dict[str, Any]) -> CampaignConfig:
             f"campaign allocation must be 'adaptive' or 'uniform', "
             f"got {allocation!r}"
         )
+
+    def option(key: str, convert: Callable[[Any], Any]) -> Any:
+        value = options.get(key)
+        return None if value is None else _convert(convert, value, key, "campaign")
+
     return CampaignConfig(
         scenarios=specs,
-        budget=None if options.get("budget") is None else int(options["budget"]),
+        budget=option("budget", int),
         allocation=allocation,
-        tol=None if options.get("tol") is None else float(options["tol"]),
-        round_refits=(
-            None
-            if options.get("round_refits") is None
-            else int(options["round_refits"])
-        ),
+        tol=option("tol", float),
+        round_refits=option("round_refits", int),
     )
 
 

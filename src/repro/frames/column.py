@@ -39,8 +39,9 @@ def infer_kind(values: Sequence[Any] | np.ndarray) -> str:
     """Infer the column kind for a sequence of raw Python/numpy values.
 
     Floats (or the presence of ``None``/NaN among numbers) infer ``float``;
-    pure ints infer ``int``; pure bools infer ``bool``; anything else is
-    ``object``.  An empty sequence infers ``object``.
+    pure ints infer ``int``; pure bools infer ``bool``; anything else —
+    bools mixed with numbers or ``None`` included — is ``object``.  An
+    empty sequence infers ``object``.
     """
     if isinstance(values, np.ndarray):
         if values.dtype.kind == "f":
@@ -66,8 +67,8 @@ def infer_kind(values: Sequence[Any] | np.ndarray) -> str:
             saw_float = True
         else:
             return KIND_OBJECT
-    if saw_bool and not (saw_float or saw_int):
-        return KIND_OBJECT if saw_none else KIND_BOOL
+    if saw_bool:
+        return KIND_OBJECT if (saw_none or saw_float or saw_int) else KIND_BOOL
     if saw_float or (saw_none and saw_int):
         return KIND_FLOAT
     if saw_int:

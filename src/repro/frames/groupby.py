@@ -296,7 +296,7 @@ def pivot_grid(
     values: str,
     agg: str = "mean",
     sort_index: bool = False,
-    grid_factory: "Callable[[tuple[int, int], list[Any], list[Any]], np.ndarray] | None" = None,
+    grid_factory: "Callable[[tuple[int, int]], np.ndarray] | None" = None,
 ) -> tuple[list[Any], list[Any], np.ndarray]:
     """The core of :func:`pivot`: ``(row_keys, col_keys, grid)``.
 
@@ -312,9 +312,8 @@ def pivot_grid(
     remapped through the sort permutation *before* the scatter, so the
     grid lands already ordered — there is no post-hoc row-gather copy.
 
-    *grid_factory*, when given, allocates the grid:
-    ``factory(shape, row_keys, col_keys)`` must return a float64 array
-    of ``shape`` (its contents need not be initialised — the NaN fill
+    *grid_factory*, when given, allocates the grid: ``factory(shape)``
+    must return a float64 array of ``shape`` (its contents need not be initialised — the NaN fill
     happens here).  This is how the panel build seals its matrix
     directly into a shared-memory block instead of a fresh allocation
     that would need a final copy.  The factory is only consulted for a
@@ -340,7 +339,7 @@ def pivot_grid(
 
     shape = (len(row_keys), len(col_keys))
     if grid_factory is not None and min(shape) > 0:
-        grid = grid_factory(shape, row_keys, col_keys)
+        grid = grid_factory(shape)
         if grid.shape != shape or grid.dtype != np.float64:
             raise FrameError(
                 f"grid_factory returned {grid.dtype} array of shape "

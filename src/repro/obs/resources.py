@@ -10,8 +10,9 @@ periodically snapshots
 
 - process RSS (``/proc/self/statm``, with a ``getrusage`` fallback),
 - ``/dev/shm`` bytes and block counts held by this process's live
-  shared-memory blocks (the :func:`~repro.pipeline.shm.live_shm_bytes`
-  leak-tracker view — byte-exact, no filesystem scan),
+  :class:`~repro.pipeline.shm.SharedFrameArena` blocks (the
+  :func:`~repro.pipeline.shm.live_shm_bytes` leak-tracker view —
+  byte-exact, no filesystem scan),
 - checkpoint-journal bytes
   (:func:`~repro.pipeline.shm.live_shm_bytes`'s sibling,
   :func:`~repro.pipeline.checkpoint.live_checkpoint_bytes`),

@@ -268,8 +268,6 @@ class ProcessPoolBackend:
         n_jobs: int,
         retry: RetryPolicy | None = None,
         sleep: Callable[[float], None] = time.sleep,
-        initializer: Callable[..., None] | None = None,
-        initargs: tuple = (),
     ) -> None:
         if n_jobs < 2:
             raise ExecutionError(
@@ -278,8 +276,6 @@ class ProcessPoolBackend:
         self.n_jobs = n_jobs
         self.retry = retry
         self._sleep = sleep
-        self._initializer = initializer
-        self._initargs = initargs
         self._pool = self._make_pool()
         #: Tasks submitted to this backend and not yet settled (updated
         #: by the in-flight ``_MapState``; read by the resource sampler).
@@ -297,11 +293,7 @@ class ProcessPoolBackend:
         return sum(1 for p in list(processes.values()) if p.is_alive())
 
     def _make_pool(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=self.n_jobs,
-            initializer=self._initializer,
-            initargs=self._initargs,
-        )
+        return ProcessPoolExecutor(max_workers=self.n_jobs)
 
     def map(
         self,
@@ -334,8 +326,6 @@ class ProcessPoolBackend:
         ).inc()
         logger.warning("process pool broke (worker died); rebuilding")
         self._pool.shutdown(wait=False, cancel_futures=True)
-        # The replacement pool keeps the initializer, so respawned
-        # workers re-attach any shared-memory panel before taking work.
         self._pool = self._make_pool()
 
     def close(self) -> None:
@@ -551,23 +541,13 @@ Executor = SerialExecutor | ProcessPoolBackend
 
 
 def get_executor(
-    n_jobs: int | None = 1,
-    retry: RetryPolicy | None = None,
-    initializer: Callable[..., None] | None = None,
-    initargs: tuple = (),
+    n_jobs: int | None = 1, retry: RetryPolicy | None = None
 ) -> Executor:
-    """The backend for an ``n_jobs`` request (use as a context manager).
-
-    *initializer*/*initargs* run once per worker process (and again in
-    every worker of a rebuilt pool); the serial backend ignores them —
-    serial callers already share the parent's address space.
-    """
+    """The backend for an ``n_jobs`` request (use as a context manager)."""
     resolved = resolve_n_jobs(n_jobs)
     if resolved == 1:
         return SerialExecutor(retry=retry)
-    return ProcessPoolBackend(
-        resolved, retry=retry, initializer=initializer, initargs=initargs
-    )
+    return ProcessPoolBackend(resolved, retry=retry)
 
 
 def parallel_map(

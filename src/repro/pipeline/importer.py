@@ -123,8 +123,19 @@ def normalise_measurements(
 
 
 def _unit_labels(asn: Column, city: Column) -> np.ndarray:
-    """``AS<asn>/<city>`` per row, formatted once per distinct pair."""
+    """``AS<asn>/<city>`` per row, formatted once per distinct pair.
+
+    Raises :class:`FrameError` naming the first ``asn`` that is not an
+    integer in ``[0, 2**32)``; an integral float such as ``3741.0`` is
+    an ASN.
+    """
     asn_codes, asns = asn.factorize()
+    for value in asns:
+        if not _is_asn(value):
+            shown = value.item() if isinstance(value, np.generic) else value
+            raise FrameError(
+                f"column 'asn' must hold integers in [0, 2**32); got {shown!r}"
+            )
     city_codes, cities = city.factorize()
     codes, first = dense_rank(asn_codes * len(cities) + city_codes)
     labels = np.array(
@@ -132,6 +143,16 @@ def _unit_labels(asn: Column, city: Column) -> np.ndarray:
         dtype=object,
     )
     return labels[codes]
+
+
+def _is_asn(value: object) -> bool:
+    if isinstance(value, (bool, np.bool_)):
+        return False
+    if isinstance(value, (float, np.floating)) and not float(value).is_integer():
+        return False
+    if not isinstance(value, (int, np.integer, float, np.floating)):
+        return False
+    return 0 <= value < 2**32
 
 
 def read_measurement_csv(

@@ -10,7 +10,7 @@ batch — a **planning pass** in the parent does that work up front:
   tracing off, so the real fits keep recording the canonical spans),
   groups the donor matrices by shape, and feeds them through the
   stacked primitives :func:`~repro.synthcontrol.robust.factor_donor_matrices`
-  and :func:`~repro.synthcontrol.robust.denoise_leave_one_out_many` —
+  and :func:`~repro.synthcontrol.robust.denoise_leave_one_out` —
   one 3-D gufunc SVD per shape group instead of one 2-D SVD per unit.
 - Each resulting :class:`UnitPrefactor` travels on its unit's task:
   in-process on the serial path, or — for pooled workers — as a
@@ -41,7 +41,7 @@ from repro.pipeline.shm import SharedArrayRef, SharedFrameArena
 from repro.synthcontrol.donor import Panel
 from repro.synthcontrol.robust import (
     DonorFactorization,
-    denoise_leave_one_out_many,
+    denoise_leave_one_out,
     factor_donor_matrices,
 )
 
@@ -110,21 +110,23 @@ def prefactor_unit_plan(
     facts = factor_donor_matrices([matrix for _task, _donors, matrix in entries])
     # Leave-one-out batches group across units too — but only for tasks
     # that would compute one (>= 2 donors and a placebo cap above 1),
-    # keyed by the (energy, cap) pair so mixed fit parameters cannot
-    # silently share a threshold.
+    # keyed by energy so mixed fit parameters cannot silently share a
+    # threshold; each unit asks for its own first `limit` columns.
     loos: list[tuple[tuple[np.ndarray, int], ...] | None] = [None] * len(entries)
-    loo_groups: dict[tuple[float, int | None], list[int]] = {}
+    loo_groups: dict[float, list[tuple[int, int]]] = {}
     for i, (task, _donors, matrix) in enumerate(entries):
         j = matrix.shape[1]
         limit = j if task.max_placebos is None else min(int(task.max_placebos), j)
         if j >= 2 and limit > 1:
             energy = float(dict(task.fit_kwargs).get("energy", 0.99))  # type: ignore[arg-type]
-            loo_groups.setdefault((energy, task.max_placebos), []).append(i)
-    for (energy, max_placebos), members in loo_groups.items():
-        batch = denoise_leave_one_out_many(
-            [facts[i] for i in members], energy=energy, limit=max_placebos
+            loo_groups.setdefault(energy, []).append((i, limit))
+    for energy, members in loo_groups.items():
+        batch = denoise_leave_one_out(
+            [facts[i] for i, _limit in members],
+            energy=energy,
+            cols=[range(limit) for _i, limit in members],
         )
-        for i, loo in zip(members, batch):
+        for (i, _limit), loo in zip(members, batch):
             loos[i] = loo
     return {
         task.unit: UnitPrefactor(donors=donors, fact=facts[i], loo=loos[i])

@@ -1,51 +1,38 @@
 """Shared-memory storage for zero-copy process-pool fan-out.
 
-The process-pool study used to pickle the full :class:`~repro.synthcontrol.donor.Panel`
-into every per-unit task, so the transport cost grew as
-``O(tasks x panel_bytes)`` and the parallel study ran *slower* than
-serial at CI scale.  This module moves the panel's numeric storage onto
-:mod:`multiprocessing.shared_memory` so a task ships only a tiny named
-reference:
+One mechanism, :class:`SharedFrameArena`, puts every array a pool
+worker reads into named :mod:`multiprocessing.shared_memory` blocks, so
+a pool task ships tiny picklable references instead of the arrays:
 
-- :class:`SharedPanelOwner` — the parent-side lifecycle handle.  It
-  allocates one named block laid out as ``[meta length][pickled times /
-  units / shape][float64 matrix]``, exposes the matrix region as a
-  writable numpy view (so :func:`~repro.synthcontrol.donor.build_panel`
-  can scatter the pivot directly into the block — no seal-time copy),
-  and unlinks the block exactly once however the study exits.
-- :class:`SharedPanelRef` — the picklable worker-side reference: just
-  the block name.  ``load()`` attaches by name and reconstructs a
-  read-only zero-copy :class:`~repro.synthcontrol.donor.Panel` view,
-  memoised per process so a pooled worker running hundreds of unit
-  tasks attaches (and unpickles the metadata) once.
+- measurement-frame columns, sealed straight out of
+  :meth:`repro.frames.builder.FrameBuilder.build` via its ``alloc=``
+  hook, or a CSV import's float columns;
+- the study's panel matrix: :meth:`SharedFrameArena.allocate` is the
+  pivot's ``matrix_factory``, so the panel scatters directly into a
+  block, and a task carries a :class:`SharedPanelRef` (the matrix's
+  :class:`SharedArrayRef` plus the time and unit labels);
+- the batched fit engine's pre-factored slabs.
 
-Lifecycle rules the study pipeline relies on:
+A :class:`SharedArrayRef` holds a block's name and shape, so a block is
+raw float64 data only and a worker-side ``load()`` is a bare attach
+plus an ``np.ndarray`` view, memoised per process.
 
-- the block is independent of any process pool, so a
-  ``BrokenProcessPool`` rebuild needs no re-publication — respawned
+Lifecycle rules the pipelines rely on:
+
+- blocks are independent of any process pool, so a
+  ``BrokenProcessPool`` rebuild needs no re-publication: respawned
   workers attach lazily by name;
-- ``unlink`` removes the name immediately while live mappings (the
-  parent's panel view, attached workers) stay valid until they are
-  dropped, so teardown never races the last fits;
-- every created block is tracked in :func:`live_panel_blocks` until it
+- :meth:`SharedFrameArena.close` unlinks every block exactly once; the
+  name disappears immediately while live views (the parent's arrays,
+  attached workers) stay valid until dropped, so teardown never races
+  the last fits;
+- every created block is tracked in :func:`live_arena_blocks` until it
   is unlinked, which is what the leak tests assert drains to empty.
-
-:class:`SharedFrameArena` generalizes the same contract from one panel
-matrix to arbitrary named float64 arrays: measurement-frame columns
-(sealed straight out of :meth:`repro.frames.builder.FrameBuilder.build`
-via its ``alloc=`` hook, or a CSV import's float columns) and the
-batched fit engine's pre-factored slabs all live in arena blocks that
-workers attach zero-copy through picklable :class:`SharedArrayRef`\\ s.
-The arena follows the panel block's lifecycle rules exactly: leak
-tracking (:func:`live_arena_blocks`), idempotent ``BufferError``-safe
-close, and attach-by-name that survives ``BrokenProcessPool`` pool
-rebuilds.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 import secrets
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -56,289 +43,52 @@ import numpy as np
 from repro.errors import PipelineError
 from repro.synthcontrol.donor import Panel
 
-#: Byte alignment of the matrix region within the block (numpy is happy
-#: with any alignment, but 64 keeps the matrix cache-line aligned).
-_ALIGN = 64
-
 #: Block-name prefix; also how the leak tests recognise our blocks in
 #: ``/dev/shm``.  Kept short: POSIX shm names are limited (NAME_MAX).
-NAME_PREFIX = "rpr-panel-"
+ARENA_PREFIX = "rpr-arena-"
 
-#: Names created by this process and not yet unlinked, with their block
-#: sizes in bytes (``SharedMemory.size``) so the resource sampler can
-#: report live ``/dev/shm`` byte totals without stat-ing the filesystem.
-_LIVE: dict[str, int] = {}
+#: Block names created by this process and not yet unlinked, with their
+#: block sizes in bytes (``SharedMemory.size``) so the resource sampler
+#: can report live ``/dev/shm`` byte totals without stat-ing the
+#: filesystem.
+_LIVE_ARENA: dict[str, int] = {}
 
-#: Per-process attach cache: block name -> (mapping, reconstructed panel).
-#: Pool workers run many tasks against the same panel; the first task
-#: attaches and unpickles the metadata, the rest hit this dict.
-_ATTACHED: dict[str, tuple[shared_memory.SharedMemory, Panel]] = {}
+#: Per-process attach cache: block name -> (mapping, view).  A pooled
+#: worker touches the same blocks on every task; the first load
+#: attaches, the rest hit this dict.
+_ATTACHED_ARRAYS: dict[str, tuple[shared_memory.SharedMemory, np.ndarray]] = {}
 
-#: Attach-cache capacity.  A single study uses one panel block, but a
-#: campaign interleaves many scenarios' tasks on one pool — evicting
-#: everything-but-current on each miss (the pre-campaign policy) would
-#: re-attach on nearly every task switch.  The cache instead holds the
-#: most recent blocks up to this bound and evicts oldest-attached first.
+#: Per-process panel views, keyed by their matrix block's name and
+#: dropped together with that block's attach-cache entry.
+_PANELS: dict[str, Panel] = {}
+
+#: Attach-cache bound for blocks this process did not create.  A
+#: campaign interleaves many scenarios' tasks on one pool, so the cache
+#: keeps the most recently attached blocks up to this bound and evicts
+#: the oldest-attached first.
 _ATTACH_CAPACITY = 16
 
 
-def live_panel_blocks() -> tuple[str, ...]:
-    """Names of blocks this process created and has not unlinked yet."""
-    return tuple(sorted(_LIVE))
-
-
-def _evict_attached(keep: str | None = None) -> None:
-    """Shrink the attach cache below capacity, never dropping *keep*.
-
-    Evicts in insertion (attach) order while the cache is over
-    ``_ATTACH_CAPACITY - 1`` entries, leaving room for the incoming
-    block; with one panel in play this degenerates to the old
-    evict-everything-else behaviour once the bound is hit.  A mapping
-    whose panel view is still referenced elsewhere raises
-    ``BufferError`` on close; it is kept (closing would invalidate live
-    numpy views) and retried on the next eviction.
-    """
-    for name in list(_ATTACHED):
-        if len(_ATTACHED) < _ATTACH_CAPACITY:
-            break
-        if name == keep:
-            continue
-        shm, panel = _ATTACHED.pop(name)
-        del panel  # drop the cache's own view before closing the mapping
-        try:
-            shm.close()
-        except BufferError:  # a view escaped; the mapping must outlive it
-            _ATTACHED[name] = (shm, _panel_from_block(shm))
-
-
-def _pack_meta(times: tuple, units: tuple[str, ...], shape: tuple[int, int]) -> bytes:
-    return pickle.dumps(
-        {"times": times, "units": units, "shape": shape},
-        protocol=pickle.HIGHEST_PROTOCOL,
-    )
-
-
-def _matrix_offset(meta_len: int) -> int:
-    header = 8 + meta_len
-    return header + (-header) % _ALIGN
-
-
-def _panel_from_block(shm: shared_memory.SharedMemory) -> Panel:
-    """Reconstruct the Panel stored in *shm* as a zero-copy view."""
-    meta_len = int.from_bytes(bytes(shm.buf[:8]), "little")
-    if not 0 < meta_len <= shm.size - 8:
-        raise PipelineError(
-            f"shared panel block {shm.name!r} has a corrupt header "
-            f"(meta_len={meta_len}, size={shm.size})"
-        )
-    meta = pickle.loads(bytes(shm.buf[8 : 8 + meta_len]))
-    shape = tuple(meta["shape"])
-    matrix = np.ndarray(
-        shape, dtype=np.float64, buffer=shm.buf, offset=_matrix_offset(meta_len)
-    )
-    return Panel(times=tuple(meta["times"]), units=tuple(meta["units"]), matrix=matrix)
-
-
-@dataclass(frozen=True)
-class SharedPanelRef:
-    """A picklable, zero-copy reference to a panel in a named shared block.
-
-    This is all a process-pool task carries: attaching by *name* in the
-    worker reconstructs the full panel without copying the matrix.
-    """
-
-    name: str
-
-    def load(self) -> Panel:
-        """Attach (memoised per process) and return the panel view."""
-        hit = _ATTACHED.get(self.name)
-        if hit is not None:
-            return hit[1]
-        _evict_attached(keep=self.name)
-        try:
-            shm = shared_memory.SharedMemory(name=self.name)
-        except FileNotFoundError:
-            raise PipelineError(
-                f"shared panel block {self.name!r} does not exist "
-                "(already unlinked, or never published in this host)"
-            ) from None
-        panel = _panel_from_block(shm)
-        _ATTACHED[self.name] = (shm, panel)
-        return panel
-
-
-def attach_shared_panel(ref: SharedPanelRef) -> None:
-    """Process-pool initializer: map the shared panel before any task.
-
-    Passed as the pool's ``initializer`` so every worker — including the
-    respawned workers of a rebuilt pool after ``BrokenProcessPool`` —
-    pays the attach-and-unpickle cost once, off the task critical path.
-    """
-    ref.load()
-
-
-class SharedPanelOwner:
-    """Parent-side owner of one shared panel block.
-
-    Create with :meth:`allocate` (then fill :attr:`matrix` in place —
-    the pivot scatters straight into the block) or :meth:`from_panel`
-    (copies an existing matrix in).  Call :meth:`close` exactly once
-    per study — it is idempotent — to unlink the name; live views keep
-    working until their owners drop them.
-    """
-
-    def __init__(
-        self, times: tuple, units: tuple[str, ...], shape: tuple[int, int]
-    ) -> None:
-        n_times, n_units = (int(shape[0]), int(shape[1]))
-        if n_times <= 0 or n_units <= 0:
-            raise PipelineError(
-                f"shared panel needs a non-empty matrix, got shape {shape}"
-            )
-        if len(times) != n_times or len(units) != n_units:
-            raise PipelineError(
-                f"panel labels do not match matrix shape {shape}: "
-                f"{len(times)} times, {len(units)} units"
-            )
-        meta = _pack_meta(tuple(times), tuple(units), (n_times, n_units))
-        offset = _matrix_offset(len(meta))
-        nbytes = offset + n_times * n_units * 8
-        name = NAME_PREFIX + secrets.token_hex(8)
-        self._shm: shared_memory.SharedMemory | None = shared_memory.SharedMemory(
-            name=name, create=True, size=nbytes
-        )
-        self._shm.buf[:8] = len(meta).to_bytes(8, "little")
-        self._shm.buf[8 : 8 + len(meta)] = meta
-        self._matrix = np.ndarray(
-            (n_times, n_units), dtype=np.float64, buffer=self._shm.buf, offset=offset
-        )
-        self._panel = Panel(times=tuple(times), units=tuple(units), matrix=self._matrix)
-        _LIVE[name] = self._shm.size
-
-    @classmethod
-    def allocate(
-        cls, shape: tuple[int, int], times: tuple, units: tuple[str, ...]
-    ) -> "SharedPanelOwner":
-        """A block whose (uninitialised) matrix the caller fills in place."""
-        return cls(times=times, units=units, shape=shape)
-
-    @classmethod
-    def from_panel(cls, panel: Panel) -> "SharedPanelOwner":
-        """Publish an existing panel (one matrix copy into the block)."""
-        owner = cls(times=panel.times, units=panel.units, shape=panel.matrix.shape)
-        np.copyto(owner.matrix, panel.matrix)
-        return owner
-
-    @property
-    def name(self) -> str:
-        """The block's name (its cross-process address)."""
-        if self._shm is None:
-            raise PipelineError("shared panel block already closed")
-        return self._shm.name
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """Writable float64 view of the matrix region inside the block."""
-        if self._shm is None:
-            raise PipelineError("shared panel block already closed")
-        return self._matrix
-
-    @property
-    def panel(self) -> Panel:
-        """The panel, backed zero-copy by the block (parent-side use)."""
-        if self._shm is None:
-            raise PipelineError("shared panel block already closed")
-        return self._panel
-
-    @property
-    def ref(self) -> SharedPanelRef:
-        """The picklable reference tasks carry instead of the panel."""
-        return SharedPanelRef(name=self.name)
-
-    def close(self) -> None:
-        """Unlink the block (idempotent); live views stay valid.
-
-        The name disappears immediately — a later attach fails — while
-        existing mappings (the parent's panel view, worker caches)
-        survive until dropped, exactly the POSIX ``shm_unlink``
-        contract the study teardown needs.
-        """
-        if self._shm is None:
-            return
-        shm, self._shm = self._shm, None
-        # Drop our own views first — otherwise the mapping could never
-        # be released even when no caller holds one.
-        self._matrix = None  # type: ignore[assignment]
-        self._panel = None  # type: ignore[assignment]
-        _LIVE.pop(shm.name, None)
-        hit = _ATTACHED.pop(shm.name, None)
-        if hit is not None:
-            cached, cached_panel = hit
-            del cached_panel
-            try:
-                cached.close()
-            except BufferError:
-                # A caller still holds the cached view; keep the mapping
-                # alive so the view stays valid (the name goes away below
-                # regardless, so nothing outlives this process).
-                _ATTACHED[shm.name] = (cached, _panel_from_block(cached))
-        try:
-            shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - double unlink race
-            pass
-        try:
-            shm.close()
-        except BufferError:
-            # The study's panel view is usually still alive here; the
-            # mapping is released when the last view dies (the name is
-            # already gone, so nothing leaks past this process's exit).
-            self._zombie = shm
-
-    def __enter__(self) -> "SharedPanelOwner":
-        return self
-
-    def __exit__(self, *exc_info: object) -> bool:
-        self.close()
-        return False
-
-
-#: Block-name prefix for arena arrays (distinct from panel blocks so the
-#: leak tests can tell the two populations apart in ``/dev/shm``).
-ARENA_PREFIX = "rpr-arena-"
-
-#: Arena block names created by this process and not yet unlinked, with
-#: their block sizes in bytes (same contract as ``_LIVE`` above).
-_LIVE_ARENA: dict[str, int] = {}
-
-#: Per-process attach cache for arena arrays: name -> (mapping, view).
-#: A pooled worker touches the same slab blocks on every task; the
-#: first load attaches, the rest hit this dict.  Entries die with the
-#: worker process (pools are per-study), so no eviction policy is
-#: needed beyond the owner-side pop in :meth:`SharedFrameArena.close`.
-_ATTACHED_ARRAYS: dict[str, tuple[shared_memory.SharedMemory, np.ndarray]] = {}
-
-
 def live_arena_blocks() -> tuple[str, ...]:
-    """Arena block names this process created and has not unlinked yet."""
+    """Block names this process created and has not unlinked yet."""
     return tuple(sorted(_LIVE_ARENA))
 
 
 def live_shm_bytes() -> int:
-    """Total bytes of live panel + arena blocks this process owns.
+    """Total bytes of the live blocks this process owns.
 
     This is the byte-exact ``/dev/shm`` footprint of the blocks in
-    :func:`live_panel_blocks` / :func:`live_arena_blocks` (each block's
-    ``SharedMemory.size``), which the resource sampler records and the
-    leak tests cross-check against the filesystem.  The dicts are
-    copied before summing: the sampler thread reads while the study
-    thread allocates.
+    :func:`live_arena_blocks` (each block's ``SharedMemory.size``),
+    which the resource sampler records and the leak tests cross-check
+    against the filesystem.  The dict is copied before summing: the
+    sampler thread reads while the study thread allocates.
     """
-    return sum(dict(_LIVE).values()) + sum(dict(_LIVE_ARENA).values())
+    return sum(dict(_LIVE_ARENA).values())
 
 
 def live_shm_blocks() -> int:
-    """How many live panel + arena blocks this process owns."""
-    return len(_LIVE) + len(_LIVE_ARENA)
+    """How many live blocks this process owns."""
+    return len(_LIVE_ARENA)
 
 
 def _defuse_handle(shm: shared_memory.SharedMemory) -> None:
@@ -370,14 +120,35 @@ def _defuse_handle(shm: shared_memory.SharedMemory) -> None:
             pass
 
 
+def _forget(name: str) -> tuple[shared_memory.SharedMemory, np.ndarray] | None:
+    """Drop *name*'s attach-cache entry (and its panel view), if any."""
+    _PANELS.pop(name, None)
+    return _ATTACHED_ARRAYS.pop(name, None)
+
+
+def _make_room() -> None:
+    """Evict the oldest attached foreign blocks to leave room for one more.
+
+    Blocks this process created stay: their arena releases them on
+    close.  An evicted handle is defused, not closed, so a view that
+    escaped the cache keeps its pages until it is collected.
+    """
+    foreign = [name for name in _ATTACHED_ARRAYS if name not in _LIVE_ARENA]
+    excess = len(_ATTACHED_ARRAYS) - _ATTACH_CAPACITY + 1
+    for name in foreign[: max(excess, 0)]:
+        hit = _forget(name)
+        if hit is not None:
+            _defuse_handle(hit[0])
+
+
 @dataclass(frozen=True)
 class SharedArrayRef:
     """A picklable, zero-copy reference to one float64 array in a named block.
 
-    Unlike the panel block there is no in-band header: the shape rides
-    in the (tiny) pickled reference, so the block holds raw float64
-    data only and a worker-side :meth:`load` is a bare attach plus an
-    ``np.ndarray`` view.
+    There is no in-band header: the shape rides in the (tiny) pickled
+    reference, so the block holds raw float64 data only and a
+    worker-side :meth:`load` is a bare attach plus an ``np.ndarray``
+    view.
     """
 
     name: str
@@ -393,6 +164,7 @@ class SharedArrayRef:
                     f"shape {hit[1].shape} but was requested as {self.shape}"
                 )
             return hit[1]
+        _make_room()
         try:
             shm = shared_memory.SharedMemory(name=self.name)
         except FileNotFoundError:
@@ -412,18 +184,49 @@ class SharedArrayRef:
         return view
 
 
+@dataclass(frozen=True)
+class SharedPanelRef:
+    """A picklable, zero-copy reference to a panel whose matrix is a block.
+
+    This is all a process-pool task carries in place of the panel: the
+    matrix's :class:`SharedArrayRef` and the labels.  The labels grow
+    with ``T + J`` (a few KB on a wide panel), the matrix with
+    ``T x J``, and only the labels ride in the pickle.
+    """
+
+    matrix: SharedArrayRef
+    times: tuple
+    units: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        if tuple(self.matrix.shape) != (len(self.times), len(self.units)):
+            raise PipelineError(
+                f"panel labels do not match matrix shape {self.matrix.shape}: "
+                f"{len(self.times)} times, {len(self.units)} units"
+            )
+
+    def load(self) -> Panel:
+        """Attach (memoised per block) and return the panel view."""
+        matrix = self.matrix.load()
+        panel = _PANELS.get(self.matrix.name)
+        if panel is None or panel.matrix is not matrix:
+            panel = Panel(times=self.times, units=self.units, matrix=matrix)
+            _PANELS[self.matrix.name] = panel
+        return panel
+
+
 class SharedFrameArena:
     """Parent-side owner of a set of named float64 shared-memory blocks.
 
     One arena per pipeline stage (a generated measurement frame, a CSV
-    import, a study's pre-factored fit slabs): every
+    import, a study's panel, its pre-factored fit slabs): every
     :meth:`allocate` call creates one named block whose uninitialised
     array view the caller fills in place — frame columns seal straight
-    into it through :meth:`column_alloc`, the pivot/fit engines write
-    slabs directly.  :meth:`close` unlinks every block exactly once
+    into it through :meth:`column_alloc`, the pivot and the fit engine
+    write directly.  :meth:`close` unlinks every block exactly once
     (idempotent); live views — the parent's own arrays, attached
-    workers — stay valid until dropped, the same POSIX ``shm_unlink``
-    contract :class:`SharedPanelOwner` relies on.
+    workers — stay valid until dropped, the POSIX ``shm_unlink``
+    contract.
     """
 
     def __init__(self, tag: str = "frame") -> None:
@@ -470,6 +273,27 @@ class SharedFrameArena:
 
         return alloc
 
+    def share_panel(self, panel: Panel) -> tuple[Panel, SharedPanelRef]:
+        """*panel* backed by one of this arena's blocks, and its task ref.
+
+        A panel the pivot sealed into this arena (``matrix_factory=``)
+        is used as is; any other matrix — a streamed panel, a chaos
+        fault's corrupted copy — is copied into a new block, so pool
+        workers read exactly the bytes the parent holds.
+        """
+        for _label, shm, ref in self._blocks:
+            hit = _ATTACHED_ARRAYS.get(shm.name)
+            if hit is not None and hit[1] is panel.matrix:
+                break
+        else:
+            matrix = self.allocate("panel", panel.matrix.shape)
+            np.copyto(matrix, panel.matrix)
+            panel = Panel(times=panel.times, units=panel.units, matrix=matrix)
+            ref = self._blocks[-1][2]
+        return panel, SharedPanelRef(
+            matrix=ref, times=tuple(panel.times), units=tuple(panel.units)
+        )
+
     def ref(self, label: str) -> SharedArrayRef:
         """The picklable reference of the first block labelled *label*."""
         for block_label, _shm, ref in self._blocks:
@@ -489,15 +313,16 @@ class SharedFrameArena:
     def close(self) -> None:
         """Unlink every block (idempotent); live views stay valid.
 
-        Sealed frame columns and prefactor slabs routinely outlive the
-        arena (a generated frame is *used* after generation finishes),
-        and numpy views do not register buffer exports, so an eager
-        ``SharedMemory.close()`` would silently unmap pages under them.
-        Instead each handle is *defused*: the name is unlinked (the
-        ``/dev/shm`` entry disappears — what the leak tests assert) and
-        the descriptor closed, while the mapping itself stays owned by
-        the views through their ``ndarray.base -> mmap`` chain and is
-        unmapped by the garbage collector when the last view dies.
+        Sealed frame columns, panels and prefactor slabs routinely
+        outlive the arena (a generated frame is *used* after generation
+        finishes), and numpy views do not register buffer exports, so
+        an eager ``SharedMemory.close()`` would silently unmap pages
+        under them.  Instead each handle is *defused*: the name is
+        unlinked (the ``/dev/shm`` entry disappears — what the leak
+        tests assert) and the descriptor closed, while the mapping
+        itself stays owned by the views through their
+        ``ndarray.base -> mmap`` chain and is unmapped by the garbage
+        collector when the last view dies.
         """
         if self._closed:
             return
@@ -505,7 +330,7 @@ class SharedFrameArena:
         blocks, self._blocks = self._blocks, []
         for _label, shm, _ref in blocks:
             _LIVE_ARENA.pop(shm.name, None)
-            hit = _ATTACHED_ARRAYS.pop(shm.name, None)
+            hit = _forget(shm.name)
             try:
                 shm.unlink()
             except FileNotFoundError:  # pragma: no cover - double unlink race

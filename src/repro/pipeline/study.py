@@ -15,6 +15,7 @@ identical :class:`StudyResult`.
 
 from __future__ import annotations
 
+import functools
 import logging
 import time
 from dataclasses import dataclass, field, replace
@@ -40,15 +41,9 @@ from repro.pipeline.prefactor import (
     prefactor_unit_plan,
     publish_prefactors,
 )
-from repro.pipeline.shm import (
-    SharedFrameArena,
-    SharedPanelOwner,
-    SharedPanelRef,
-    attach_shared_panel,
-)
+from repro.pipeline.shm import SharedFrameArena, SharedPanelRef
 from repro.synthcontrol.donor import Panel, select_donors
 from repro.synthcontrol.placebo import placebo_test
-from repro.synthcontrol.robust import DenoiseCache
 
 logger = logging.getLogger(__name__)
 
@@ -240,10 +235,10 @@ class _UnitTask:
 
     ``panel`` is a :class:`SharedPanelRef` when a process pool runs the
     task — the pickled payload is then the unit label, a few scalars,
-    and a block name, not the panel matrix — and an in-process
-    :class:`Panel` on the serial path.  ``fit_kwargs`` is a tuple of
-    sorted items (not a dict) so this frozen dataclass is actually
-    hashable and workers cannot mutate shared fit parameters.
+    the panel's labels and a block name, not the panel matrix — and an
+    in-process :class:`Panel` on the serial path.  ``fit_kwargs`` is a
+    tuple of sorted items (not a dict) so this frozen dataclass is
+    actually hashable and workers cannot mutate shared fit parameters.
     ``prefactor`` is the planning pass's batched SVD work for this unit
     (attached by :func:`execute_unit_plan`): the in-process
     :class:`UnitPrefactor` on the serial path, a :class:`PrefactorRef`
@@ -294,14 +289,12 @@ def _analyse_unit(task: _UnitTask) -> StudyRow | tuple[str, str]:
             # trusted when its donor selection matches ours exactly — any
             # drift means the panel changed and the fit silently
             # recomputes.
-            cache = loo = None
+            fact = loo = None
             pf = task.prefactor
             if isinstance(pf, PrefactorRef):
                 pf = pf.load()
             if pf is not None and pf.donors == donors:
-                cache = DenoiseCache()
-                cache.seed(donor_matrix, pf.fact)
-                loo = pf.loo
+                fact, loo = pf.fact, pf.loo
             summary = placebo_test(
                 panel.series(task.unit),
                 donor_matrix,
@@ -310,7 +303,7 @@ def _analyse_unit(task: _UnitTask) -> StudyRow | tuple[str, str]:
                 donor_names=donors,
                 method=task.method,
                 max_placebos=task.max_placebos,
-                cache=cache,
+                fact=fact,
                 loo=loo,
                 **dict(task.fit_kwargs),
             )
@@ -414,7 +407,6 @@ def execute_unit_plan(
     *,
     n_jobs: int | None = 1,
     retry: RetryPolicy | None = None,
-    owner: SharedPanelOwner | None = None,
     checkpoint: "StudyCheckpoint | None" = None,
 ) -> tuple[list[StudyRow], list[tuple[str, str]]]:
     """Run a unit plan's fits and merge outcomes back into plan order.
@@ -424,8 +416,9 @@ def execute_unit_plan(
     owns its lifecycle): units already journaled are served from
     ``checkpoint.completed`` and each fresh outcome is appended the
     moment it lands.  Fan-out follows the batch study's contract —
-    order-stable results, shared-memory attach via *owner* — so serial
-    and pooled runs return identical rows.
+    order-stable results, each pooled task attaching its
+    :class:`SharedPanelRef` — so serial and pooled runs return
+    identical rows.
 
     A planning pass first batch-factors every robust unit's donor
     matrix across units — one stacked SVD per matrix shape
@@ -457,11 +450,7 @@ def execute_unit_plan(
             if tasks:
                 first = tasks[0].panel
                 plan_panel = (
-                    owner.panel
-                    if owner is not None
-                    else first.load()
-                    if isinstance(first, SharedPanelRef)
-                    else first
+                    first.load() if isinstance(first, SharedPanelRef) else first
                 )
                 prefactors: dict[str, UnitPrefactor] | dict[str, PrefactorRef]
                 prefactors = prefactor_unit_plan(plan_panel, tasks)
@@ -472,16 +461,10 @@ def execute_unit_plan(
                     replace(t, prefactor=prefactors.get(t.unit))
                     for t in tasks
                 ]
-            # Pool workers map the panel block at spawn (initializer),
-            # including the respawned workers of a pool rebuilt after
-            # BrokenProcessPool; prefactor slabs attach on a task's
-            # first use.  The blocks outlive any pool.
-            with get_executor(
-                n_jobs,
-                retry=retry,
-                initializer=attach_shared_panel if owner is not None else None,
-                initargs=(owner.ref,) if owner is not None else (),
-            ) as executor:
+            # Pool workers attach the panel and prefactor blocks on a
+            # task's first use, including the respawned workers of a pool
+            # rebuilt after BrokenProcessPool.  The blocks outlive any pool.
+            with get_executor(n_jobs, retry=retry) as executor:
                 outcomes = iter(
                     executor.map(_analyse_unit, tasks, on_result=_journal)
                 )
@@ -568,19 +551,11 @@ def run_ixp_study(
         assignment = assign_treatment(measurements, ixp_name)
         assignment = fault_point("study.assignment", key=ixp_name, value=assignment)
         t1 = time.perf_counter()
-        # With a process pool ahead, the panel matrix is allocated inside
-        # a named shared-memory block and the pivot scatters straight
-        # into it; tasks then carry a SharedPanelRef instead of the
-        # panel, so the pool pickles O(tasks) bytes, not
-        # O(tasks x panel).  Serial runs keep a plain in-process array.
-        workers = resolve_n_jobs(n_jobs)
-        owner: SharedPanelOwner | None = None
-
-        def _shared_matrix(shape, times, units):
-            nonlocal owner
-            owner = SharedPanelOwner.allocate(shape, times, units)
-            return owner.matrix
-
+        # With a process pool ahead, the pivot scatters the panel matrix
+        # straight into an arena block; tasks then carry a SharedPanelRef
+        # instead of the panel, so the pool pickles the labels, not
+        # O(tasks x matrix) bytes.  Serial runs keep a plain array.
+        arena = SharedFrameArena(tag="panel") if resolve_n_jobs(n_jobs) > 1 else None
         ckpt = None
         rows: list[StudyRow] = []
         skipped: list[tuple[str, str]] = []
@@ -589,16 +564,17 @@ def run_ixp_study(
                 measurements,
                 period="day",
                 outcome=outcome,
-                matrix_factory=_shared_matrix if workers > 1 else None,
+                matrix_factory=(
+                    functools.partial(arena.allocate, "panel") if arena else None
+                ),
             )
             panel = fault_point("study.panel", key=ixp_name, value=panel)
-            if owner is not None and panel.matrix is not owner.matrix:
-                # A chaos fault swapped in a corrupted copy; re-publish it
-                # so pool workers analyse exactly what a serial run would —
-                # fault parity includes the corrupted bytes.
-                owner.close()
-                owner = SharedPanelOwner.from_panel(panel)
-                panel = owner.panel
+            task_panel: Panel | SharedPanelRef = panel
+            if arena is not None:
+                # A chaos fault may have swapped in a corrupted copy;
+                # share_panel copies it into a new block so pool workers
+                # analyse exactly what a serial run would.
+                panel, task_panel = arena.share_panel(panel)
             t2 = time.perf_counter()
 
             fit_kwargs: dict[str, object] = {}
@@ -615,7 +591,7 @@ def run_ixp_study(
                 method=method,
                 max_placebos=max_placebos,
                 fit_kwargs=tuple(sorted(fit_kwargs.items())),
-                task_panel=owner.ref if owner is not None else panel,
+                task_panel=task_panel,
             )
 
             # Units already journaled in a resumed checkpoint are served from
@@ -635,14 +611,13 @@ def run_ixp_study(
                 plan,
                 n_jobs=n_jobs,
                 retry=retry,
-                owner=owner,
                 checkpoint=ckpt,
             )
         finally:
             if ckpt is not None:
                 ckpt.close()
-            if owner is not None:
-                owner.close()
+            if arena is not None:
+                arena.close()
         t3 = time.perf_counter()
         study_sp.set(n_rows=len(rows), n_skipped=len(skipped))
 

@@ -48,7 +48,7 @@ from repro.synthcontrol.incremental import extend_factorization, live_placebo_ra
 from repro.synthcontrol.robust import (
     DonorFactorization,
     denoise_from_factorization,
-    factor_donor_matrix,
+    factor_donor_matrices,
     fit_from_denoised,
 )
 
@@ -240,4 +240,4 @@ class LiveRefitter:
         )
         donor_matrix = np.column_stack([panel.series(d) for d in donors])
         self.cold_refits += 1
-        return donors, donor_matrix, factor_donor_matrix(donor_matrix), False
+        return donors, donor_matrix, factor_donor_matrices([donor_matrix])[0], False

@@ -27,11 +27,10 @@ from repro.synthcontrol.robustness import (
     robustness_summary,
 )
 from repro.synthcontrol.robust import (
-    DenoiseCache,
     DonorFactorization,
     denoise_from_factorization,
-    denoise_without_column,
-    factor_donor_matrix,
+    denoise_leave_one_out,
+    factor_donor_matrices,
     fit_from_denoised,
     ridge_weights,
     robust_synthetic_control,
@@ -39,7 +38,6 @@ from repro.synthcontrol.robust import (
 )
 
 __all__ = [
-    "DenoiseCache",
     "DonorFactorization",
     "FitDiagnostics",
     "Panel",
@@ -52,10 +50,10 @@ __all__ = [
     "check_assumptions",
     "classic_synthetic_control",
     "denoise_from_factorization",
-    "denoise_without_column",
+    "denoise_leave_one_out",
     "diagnose",
     "extend_factorization",
-    "factor_donor_matrix",
+    "factor_donor_matrices",
     "fit_from_denoised",
     "fit_simplex_weights",
     "in_time_placebo",

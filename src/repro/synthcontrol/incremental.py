@@ -2,7 +2,7 @@
 
 The streaming engine refreshes a treated unit's estimate after every
 ingestion batch.  A full refresh would re-run
-:func:`~repro.synthcontrol.robust.factor_donor_matrix` — an SVD of the
+:func:`~repro.synthcontrol.robust.factor_donor_matrices` — an SVD of the
 whole ``T x J`` donor matrix — per touched unit per batch.  But a batch
 that only *appends* panel rows leaves the old block of the filled
 matrix byte-identical, so the new SVD follows from the old one plus the
@@ -23,7 +23,7 @@ matrix to be unchanged — no old cell edited, and no old cell imputed
 (appending rows shifts column means, which would retroactively change
 previously imputed cells).  :func:`extend_factorization` raises
 :class:`~repro.errors.EstimationError` in those cases and the caller
-falls back to a cold :func:`~repro.synthcontrol.robust.factor_donor_matrix`.
+falls back to a cold :func:`~repro.synthcontrol.robust.factor_donor_matrices`.
 
 :func:`live_placebo_ratios` is the matching inference loop: the batch
 placebo engine's own refit (one batched leave-one-out de-noising, one
@@ -125,7 +125,7 @@ def live_placebo_ratios(
         fact=fact,
         energy=energy,
         ridge=ridge,
-        loo=denoise_leave_one_out(fact, energy=energy, limit=n),
+        loo=denoise_leave_one_out([fact], energy=energy, cols=[range(n)])[0],
     )
     ratios = [_placebo_refit_inner(ctx, col)[1] for col in range(n)]
     kept = [ratio for ratio in ratios if ratio is not None]

@@ -11,10 +11,12 @@ Two performance properties matter at study scale:
 - placebo refits are independent, so :func:`placebo_rmse_ratios` fans
   them out over an executor backend (``n_jobs``) with order-stable,
   backend-independent results;
-- for the robust method, every leave-one-donor-out refit shares the
-  donor matrix's imputation and SVD through
-  :func:`~repro.synthcontrol.robust.denoise_without_column`, so the
-  expensive factorization happens once per unit, not once per donor.
+- for the robust method, the donor matrix is factored once per unit
+  (or handed in as ``fact=`` by a caller that already holds it) and
+  every leave-one-donor-out refit downdates that one SVD through
+  :func:`~repro.synthcontrol.robust.denoise_leave_one_out`: the whole
+  placebo loop in one stacked call when serial, one ``(col,)`` subset
+  per refit when fanned out.
 """
 
 from __future__ import annotations
@@ -35,14 +37,12 @@ from repro.chaos.runtime import fault_point
 from repro.errors import DonorPoolError, EstimationError
 from repro.estimators.bootstrap import permutation_p_value
 from repro.obs import get_metrics, span
-from repro.synthcontrol.classic import classic_synthetic_control
+from repro.synthcontrol.classic import _validate_panel, classic_synthetic_control
 from repro.synthcontrol.result import PlaceboSummary, SyntheticControlFit
 from repro.synthcontrol.robust import (
-    DenoiseCache,
     DonorFactorization,
+    _checked_factorization,
     denoise_leave_one_out,
-    denoise_without_column,
-    factor_donor_matrix,
     fit_from_denoised,
     robust_synthetic_control,
 )
@@ -153,9 +153,9 @@ def _placebo_refit_inner(
             if ctx.loo is not None:
                 denoised, _rank = ctx.loo[col]
             else:
-                denoised, _rank = denoise_without_column(
-                    ctx.fact, col, energy=ctx.energy
-                )
+                ((denoised, _rank),) = denoise_leave_one_out(
+                    [ctx.fact], energy=ctx.energy, cols=[(col,)]
+                )[0]
             rest_names = tuple(
                 n for i, n in enumerate(ctx.donor_names) if i != col
             )
@@ -201,7 +201,7 @@ def placebo_rmse_ratios(
     max_placebos: int | None = None,
     min_pre_rmse: float = 1e-9,
     n_jobs: int | None = 1,
-    cache: DenoiseCache | None = None,
+    fact: DonorFactorization | None = None,
     retry: "RetryPolicy | None" = None,
     loo: tuple[tuple[np.ndarray, int], ...] | None = None,
     **fit_kwargs: object,
@@ -216,11 +216,12 @@ def placebo_rmse_ratios(
     correlation-ranked by :func:`~repro.synthcontrol.donor.select_donors`).
     *n_jobs* fans refits out over a process pool (results are identical
     to the serial run, in donor order).  For the robust method, the
-    donor matrix is imputed and factored once — optionally through a
-    shared *cache* — and every refit reuses that SVD.  A caller that
-    already holds the leave-one-out de-noisings (the cross-unit batched
-    fit engine) passes them as *loo* — bit-identical values skip the
-    per-study SVD entirely; ignored for the classic method.
+    donor matrix is imputed and factored once — or passed in as *fact*
+    by a caller that holds it — and every refit reuses that SVD.  A
+    caller that already holds the leave-one-out de-noisings (the
+    cross-unit batched fit engine) passes them as *loo* — bit-identical
+    values skip the per-study SVD entirely; ignored for the classic
+    method.
     """
     _fitter(method)  # reject unknown methods before any work
     donors = np.asarray(donors, dtype=float)
@@ -231,25 +232,21 @@ def placebo_rmse_ratios(
     j = donors.shape[1]
     limit = j if max_placebos is None else min(max_placebos, j)
 
-    fact: DonorFactorization | None = None
     energy, ridge = 0.99, 1e-2
     classic_kwargs: dict = dict(fit_kwargs)
     if method == "robust":
         energy, ridge = _robust_params(**fit_kwargs)
         classic_kwargs = {}
-        if limit > 0:
-            fact = (
-                cache.factorization(donors)
-                if cache is not None
-                else factor_donor_matrix(donors)
-            )
+        fact = _checked_factorization(donors, fact) if limit > 0 else None
+    else:
+        fact = None
 
     from repro.pipeline.executor import get_executor, resolve_n_jobs
 
     # Serial refits batch every leave-one-out SVD into a single 3-D
-    # numpy.linalg.svd call (bit-identical to the per-column downdate,
-    # one LAPACK sweep instead of J).  Fanned-out refits keep the
-    # per-column path: shipping the full denoised stack to each worker
+    # numpy.linalg.svd call (bit-identical to one (col,) subset at a
+    # time, one LAPACK sweep instead of J).  Fanned-out refits downdate
+    # one column each: shipping the full denoised stack to each worker
     # would cost more in pickling than the batched SVD saves.  A
     # caller-provided batch (already computed, possibly shared-memory
     # backed) is used as-is on either path.
@@ -258,7 +255,7 @@ def placebo_rmse_ratios(
     elif loo is not None:
         loo = tuple(loo[:limit])
     elif resolve_n_jobs(n_jobs) == 1:
-        loo = denoise_leave_one_out(fact, energy=energy, limit=limit)
+        loo = denoise_leave_one_out([fact], energy=energy, cols=[range(limit)])[0]
     else:
         loo = None
 
@@ -300,7 +297,7 @@ def placebo_test(
     max_placebos: int | None = None,
     min_pre_rmse: float = 1e-9,
     n_jobs: int | None = 1,
-    cache: DenoiseCache | None = None,
+    fact: DonorFactorization | None = None,
     retry: "RetryPolicy | None" = None,
     loo: tuple[tuple[np.ndarray, int], ...] | None = None,
     **fit_kwargs: object,
@@ -310,11 +307,12 @@ def placebo_test(
     The p-value is the add-one share of placebo RMSE ratios greater than
     or equal to the treated unit's ratio (``alternative="greater"``):
     small p means few untreated paths diverged as sharply.  *n_jobs*
-    parallelises the placebo refits; *cache* (created per call when
-    omitted) lets the treated fit and every placebo share the donor
-    matrix's de-noising work; *loo*, when the caller pre-computed the
-    leave-one-out batch (the cross-unit fit engine), removes the last
-    per-unit SVD from this call entirely.
+    parallelises the placebo refits.  For the robust method the donor
+    matrix is factored once (or *fact* is used, when the caller holds
+    it) and the treated fit and every placebo share that SVD; *loo*,
+    when the caller pre-computed the leave-one-out batch (the
+    cross-unit fit engine), removes the last per-unit SVD from this
+    call entirely.
     """
     if donor_names is None:
         donor_names = [f"donor_{i}" for i in range(donors.shape[1])]
@@ -322,15 +320,17 @@ def placebo_test(
     t_fit = time.perf_counter()
     with span("fit", treated=treated_name, method=method):
         if method == "robust":
-            if cache is None:
-                cache = DenoiseCache()
+            # The fit's own panel screen runs before the one SVD it
+            # shares with the placebo loop.
+            _validate_panel(treated, donors, pre_periods)
+            fact = _checked_factorization(np.asarray(donors, dtype=float), fact)
             fit = fitter(
                 treated,
                 donors,
                 pre_periods,
                 treated_name=treated_name,
                 donor_names=donor_names,
-                cache=cache,
+                fact=fact,
                 **fit_kwargs,
             )
         else:
@@ -353,7 +353,7 @@ def placebo_test(
         max_placebos=max_placebos,
         min_pre_rmse=min_pre_rmse,
         n_jobs=n_jobs,
-        cache=cache,
+        fact=fact,
         retry=retry,
         loo=loo,
         **fit_kwargs,

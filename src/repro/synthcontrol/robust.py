@@ -16,20 +16,22 @@ partially missing donor series, which is why the paper picks it for
 M-Lab's irregular user-initiated sampling.
 
 The de-noising is factored so its expensive part — the SVD of the
-filled donor matrix — can be computed once and reused:
-:func:`factor_donor_matrix` captures imputation and spectrum,
-:func:`denoise_from_factorization` thresholds it, and
-:func:`denoise_without_column` produces the leave-one-donor-out
-denoised panel the placebo engine needs by *downdating* the shared
-factorization (an SVD of the small ``k x (J-1)`` core instead of the
-full ``T x (J-1)`` matrix).  :class:`DenoiseCache` memoises both within
-a study run.
+filled donor matrix — is computed once and passed around as a value.
+Two batched primitives do every SVD of the method:
+
+- :func:`factor_donor_matrices` imputes and factors many donor
+  matrices, one stacked SVD per shape (a single matrix is a group of
+  one); :func:`denoise_from_factorization` thresholds the result;
+- :func:`denoise_leave_one_out` produces the leave-one-donor-out
+  denoised panels the placebo engine needs by *downdating* each
+  factorization (an SVD of the small ``k x (J-1)`` core instead of the
+  full ``T x (J-1)`` matrix), for any column subset of any number of
+  factorizations at once.
 """
 
 from __future__ import annotations
 
-import hashlib
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -127,35 +129,18 @@ def _impute_columns(
     return filled, col_means, finite_counts
 
 
-def factor_donor_matrix(matrix: np.ndarray) -> DonorFactorization:
-    """Impute and factor a donor matrix once, for repeated de-noising."""
-    matrix = _validate_donor_matrix(matrix)
-    filled, col_means, finite_counts = _impute_columns(matrix)
-    u, s, vt = np.linalg.svd(filled, full_matrices=False)
-    return DonorFactorization(
-        filled=filled,
-        col_means=col_means,
-        finite_counts=finite_counts,
-        u=u,
-        s=s,
-        vt=vt,
-    )
-
-
 def factor_donor_matrices(
     matrices: Sequence[np.ndarray],
 ) -> list[DonorFactorization]:
-    """Factor many donor matrices with one stacked SVD per shape group.
+    """Impute and factor donor matrices, one stacked SVD per shape group.
 
-    The cross-unit half of the batched fit engine: donor matrices from
-    different treated units usually share one ``(T, J)`` shape (every
-    unit screens the same donor pool), so their mean-imputed panels
-    stack into a ``(G, T, J)`` array that a single
-    :func:`numpy.linalg.svd` call decomposes in one gufunc sweep —
+    The only impute-plus-SVD in the package; a single matrix is a group
+    of one.  Donor matrices from different treated units usually share
+    one ``(T, J)`` shape (every unit screens the same donor pool), so
+    their mean-imputed panels stack into a ``(G, T, J)`` array that a
+    single :func:`numpy.linalg.svd` call decomposes in one gufunc sweep.
     LAPACK runs once per matrix either way, on the same bytes, so each
-    returned factorization is bit-identical to
-    :func:`factor_donor_matrix` on the same matrix.  Mixed shapes are
-    grouped; a group of one degenerates to the single-matrix call.
+    factorization is bit-identical however its matrix was grouped.
     """
     mats = [_validate_donor_matrix(m) for m in matrices]
     imputed = [_impute_columns(m) for m in mats]
@@ -225,68 +210,39 @@ def denoise_from_factorization(
     return _rescale_denoised(denoised, fact.col_means, p_obs), rank
 
 
-def denoise_without_column(
-    fact: DonorFactorization, col: int, energy: float = 0.99, min_rank: int = 1
-) -> tuple[np.ndarray, int]:
-    """De-noise the donor matrix with column *col* deleted, by downdating.
+def _loo_cores(fact: DonorFactorization, cols: np.ndarray) -> np.ndarray:
+    """The leave-one-out cores ``S Vt'`` for *cols* as one ``(n, k, J-1)`` fill.
 
-    Deleting a column of ``A = U S Vt`` leaves ``A' = U (S Vt')`` with
-    ``Vt'`` the corresponding column of ``Vt`` removed, so the SVD of
-    ``A'`` follows from the SVD of the small ``k x (J-1)`` core
-    ``S Vt'`` — the shared ``T x J`` SVD is never recomputed.  The
-    placebo loop calls this once per donor instead of running a full
-    de-noise per leave-one-out matrix.
-    """
-    _check_energy(energy)
-    j = fact.n_donors
-    if not 0 <= col < j:
-        raise DonorPoolError(f"column {col} out of range for {j} donors")
-    if j < 2:
-        raise DonorPoolError("cannot delete the only donor column")
-    col_means = np.delete(fact.col_means, col)
-    if fact.s.sum() == 0:
-        return np.delete(fact.filled, col, axis=1), 0
-    core = fact.s[:, None] * np.delete(fact.vt, col, axis=1)
-    u_core, s_sub, vt_sub = np.linalg.svd(core, full_matrices=False)
-    if s_sub.sum() == 0:
-        return np.delete(fact.filled, col, axis=1), 0
-    rank = _rank_for_energy(s_sub, energy, min_rank)
-    u_sub = fact.u @ u_core[:, :rank]
-    denoised = (u_sub * s_sub[:rank]) @ vt_sub[:rank]
-    observed = int(fact.finite_counts.sum() - fact.finite_counts[col])
-    p_obs = observed / (fact.n_times * (j - 1))
-    return _rescale_denoised(denoised, col_means, p_obs), rank
-
-
-def _loo_count(fact: DonorFactorization, limit: int | None) -> int:
-    """How many leading leave-one-out columns the caller wants."""
-    j = fact.n_donors
-    if j < 2:
-        raise DonorPoolError("cannot delete the only donor column")
-    return j if limit is None else max(0, min(int(limit), j))
-
-
-def _loo_cores(fact: DonorFactorization, n: int) -> np.ndarray:
-    """The first *n* leave-one-out cores ``S Vt'`` as one ``(n, k, J-1)`` fill.
-
-    One fancy-index gather replaces the historical
-    ``np.stack([np.delete(svt, col, axis=1) ...])`` loop — the same
-    values land in the same positions without J Python-level copies.
+    Deleting column *c* of ``A = U S Vt`` leaves ``A' = U (S Vt')``,
+    with ``Vt'`` the matching column of ``Vt`` removed.  One fancy-index
+    gather builds every requested core without a Python-level copy per
+    column.
     """
     svt = fact.s[:, None] * fact.vt
-    j = fact.n_donors
-    cols = np.arange(n)[:, None]
-    keep = np.arange(j - 1)[None, :]
+    keep = np.arange(fact.n_donors - 1)[None, :]
     # Row c keeps columns [0..c-1, c+1..J-1]: shift indices >= c up by one.
-    return np.ascontiguousarray(svt[:, keep + (keep >= cols)].swapaxes(0, 1))
+    gather = keep + (keep >= cols[:, None])
+    return np.ascontiguousarray(svt[:, gather].swapaxes(0, 1))
+
+
+def _loo_columns(fact: DonorFactorization, cols: Iterable[int] | None) -> np.ndarray:
+    """Validate one factorization's leave-one-out column subset."""
+    j = fact.n_donors
+    picked = np.arange(j) if cols is None else np.array(list(cols), dtype=np.int64)
+    bad = picked[(picked < 0) | (picked >= j)]
+    if bad.size:
+        raise DonorPoolError(f"column {bad[0]} out of range for {j} donors")
+    if j < 2:
+        raise DonorPoolError("cannot delete the only donor column")
+    return picked
 
 
 def _loo_finalize(
     fact: DonorFactorization,
+    cols: np.ndarray,
     u_cores: np.ndarray,
     s_subs: np.ndarray,
     vt_subs: np.ndarray,
-    n: int,
     energy: float,
     min_rank: int,
 ) -> tuple[tuple[np.ndarray, int], ...]:
@@ -294,102 +250,82 @@ def _loo_finalize(
     j = fact.n_donors
     total_observed = float(fact.finite_counts.sum())
     out: list[tuple[np.ndarray, int]] = []
-    for col in range(n):
-        col_means = np.delete(fact.col_means, col)
-        s_sub = s_subs[col]
+    for i, col in enumerate(cols):
+        s_sub = s_subs[i]
         if s_sub.sum() == 0:
             out.append((np.delete(fact.filled, col, axis=1), 0))
             continue
         rank = _rank_for_energy(s_sub, energy, min_rank)
-        u_sub = fact.u @ u_cores[col][:, :rank]
-        denoised = (u_sub * s_sub[:rank]) @ vt_subs[col][:rank]
+        u_sub = fact.u @ u_cores[i][:, :rank]
+        denoised = (u_sub * s_sub[:rank]) @ vt_subs[i][:rank]
         observed = int(total_observed - fact.finite_counts[col])
         p_obs = observed / (fact.n_times * (j - 1))
+        col_means = np.delete(fact.col_means, col)
         out.append((_rescale_denoised(denoised, col_means, p_obs), rank))
     return tuple(out)
 
 
 def denoise_leave_one_out(
-    fact: DonorFactorization,
-    energy: float = 0.99,
-    min_rank: int = 1,
-    limit: int | None = None,
-) -> tuple[tuple[np.ndarray, int], ...]:
-    """Every leave-one-donor-out de-noising from **one** batched SVD.
-
-    The placebo loop needs the denoised panel with column *j* deleted,
-    for every *j*.  Each of those reduces to the SVD of the small
-    ``k x (J-1)`` core ``S Vt'`` (see :func:`denoise_without_column`) —
-    and the cores all share one shape, so they stack into a
-    ``(J, k, J-1)`` array that a single :func:`numpy.linalg.svd` call
-    decomposes in one LAPACK sweep instead of J Python-level calls.
-    Per-matrix results are bit-identical to the one-at-a-time downdate
-    (the gufunc runs the same routine on the same bytes), so serial and
-    fanned-out placebo loops keep agreeing exactly.
-
-    Returns ``(denoised, rank)`` per column, for the first *limit*
-    columns (all of them when ``None``).
-    """
-    _check_energy(energy)
-    n = _loo_count(fact, limit)
-    if n == 0:
-        return ()
-    if fact.s.sum() == 0:
-        return tuple(
-            (np.delete(fact.filled, col, axis=1), 0) for col in range(n)
-        )
-    cores = _loo_cores(fact, n)
-    u_cores, s_subs, vt_subs = np.linalg.svd(cores, full_matrices=False)
-    return _loo_finalize(fact, u_cores, s_subs, vt_subs, n, energy, min_rank)
-
-
-def denoise_leave_one_out_many(
     facts: Sequence[DonorFactorization],
     energy: float = 0.99,
     min_rank: int = 1,
-    limit: int | None = None,
+    cols: Sequence[Iterable[int] | None] | None = None,
 ) -> list[tuple[tuple[np.ndarray, int], ...]]:
-    """Leave-one-out de-noisings for many units from one SVD per core shape.
+    """Leave-one-donor-out de-noisings, by downdating, for many units.
 
-    The cross-unit extension of :func:`denoise_leave_one_out`: units
-    whose cores share a ``(k, J-1)`` shape concatenate into one tall
-    stack for a single gufunc :func:`numpy.linalg.svd` call, and each
-    unit's slice finalizes exactly as the within-unit batch would —
-    per-unit results are bit-identical to calling
-    :func:`denoise_leave_one_out` once per factorization.  Units with a
-    zero spectrum take the same no-SVD fallback as the single-unit
-    path.
+    The only leave-one-out primitive.  Deleting a column of
+    ``A = U S Vt`` leaves ``A' = U (S Vt')``, so the SVD of ``A'``
+    follows from the SVD of the small ``k x (J-1)`` core ``S Vt'``; the
+    ``T x J`` SVD is never recomputed.  Every requested core across all
+    *facts* that shares a ``(k, J-1)`` shape goes into one stacked
+    :func:`numpy.linalg.svd` call.  The gufunc runs the same LAPACK
+    routine on the same bytes per core, so each result is bit-identical
+    however the cores were grouped: one column alone, a unit's whole
+    placebo loop, or a study's every unit at once.
+
+    *cols* gives one column subset per factorization (``None`` means
+    all of its columns; the default means all columns of every one).
+    The study passes ``range(limit)``; a single placebo refit passes
+    ``(col,)``.  Returns, per factorization, ``(denoised, rank)`` for
+    each requested column in order.  A zero spectrum, of the matrix or
+    of one core, falls back to the filled matrix without the column at
+    rank 0.
     """
     _check_energy(energy)
-    counts = [_loo_count(fact, limit) for fact in facts]
+    if cols is None:
+        cols = [None] * len(facts)
+    if len(cols) != len(facts):
+        raise DonorPoolError(
+            f"{len(cols)} column subsets for {len(facts)} factorizations"
+        )
+    picked = [_loo_columns(fact, c) for fact, c in zip(facts, cols)]
     results: list[tuple[tuple[np.ndarray, int], ...] | None] = [None] * len(facts)
     groups: dict[tuple[int, int], list[int]] = {}
-    for i, (fact, n) in enumerate(zip(facts, counts)):
-        if n == 0:
+    for i, (fact, c) in enumerate(zip(facts, picked)):
+        if len(c) == 0:
             results[i] = ()
         elif fact.s.sum() == 0:
-            results[i] = tuple(
-                (np.delete(fact.filled, col, axis=1), 0) for col in range(n)
-            )
+            results[i] = tuple((np.delete(fact.filled, col, axis=1), 0) for col in c)
         else:
-            core_shape = (len(fact.s), fact.n_donors - 1)
-            groups.setdefault(core_shape, []).append(i)
+            groups.setdefault((len(fact.s), fact.n_donors - 1), []).append(i)
     for shape, members in groups.items():
-        stack = np.empty((sum(counts[i] for i in members), *shape))
+        stack = np.empty((sum(len(picked[i]) for i in members), *shape))
         offset = 0
         for i in members:
-            stack[offset : offset + counts[i]] = _loo_cores(facts[i], counts[i])
-            offset += counts[i]
+            n = len(picked[i])
+            stack[offset : offset + n] = _loo_cores(facts[i], picked[i])
+            offset += n
         u_cores, s_subs, vt_subs = np.linalg.svd(stack, full_matrices=False)
         offset = 0
         for i in members:
-            n = counts[i]
+            n = len(picked[i])
+            window = slice(offset, offset + n)
             results[i] = _loo_finalize(
                 facts[i],
-                u_cores[offset : offset + n],
-                s_subs[offset : offset + n],
-                vt_subs[offset : offset + n],
-                n,
+                picked[i],
+                u_cores[window],
+                s_subs[window],
+                vt_subs[window],
                 energy,
                 min_rank,
             )
@@ -408,62 +344,27 @@ def singular_value_threshold(
     """
     _check_energy(energy)
     return denoise_from_factorization(
-        factor_donor_matrix(matrix), energy=energy, min_rank=min_rank
+        factor_donor_matrices([matrix])[0], energy=energy, min_rank=min_rank
     )
 
 
-class DenoiseCache:
-    """Memoised de-noising within one study run.
+def _checked_factorization(
+    donors: np.ndarray, fact: DonorFactorization | None
+) -> DonorFactorization:
+    """*fact* if it factors a matrix of *donors*' shape, else a fresh one.
 
-    The treated-unit fit and every placebo refit of the same donor
-    matrix share imputation and the full SVD; repeated fits at the same
-    energy (robustness sweeps, ablations) reuse the denoised panel
-    itself.  Keys combine the matrix shape, the requested energy, and a
-    content digest, so equal-shaped but different panels never collide.
-    Cached arrays are shared — treat them as read-only.
+    A caller that already holds the factorization (the study's planning
+    pass) passes it in; ``None`` factors *donors* here.  A factorization
+    of another shape is a caller bug and raises :class:`DonorPoolError`.
     """
-
-    def __init__(self) -> None:
-        self._factorizations: dict[tuple, DonorFactorization] = {}
-        self._denoised: dict[tuple, tuple[np.ndarray, int]] = {}
-
-    @staticmethod
-    def _key(matrix: np.ndarray) -> tuple:
-        matrix = np.ascontiguousarray(matrix, dtype=float)
-        digest = hashlib.sha1(matrix.tobytes()).hexdigest()
-        return (matrix.shape, digest)
-
-    def factorization(self, matrix: np.ndarray) -> DonorFactorization:
-        """The (cached) factorization of *matrix*."""
-        key = self._key(matrix)
-        fact = self._factorizations.get(key)
-        if fact is None:
-            fact = factor_donor_matrix(matrix)
-            self._factorizations[key] = fact
-        return fact
-
-    def seed(self, matrix: np.ndarray, fact: DonorFactorization) -> None:
-        """Pre-load *matrix*'s factorization (e.g. from a batched sweep).
-
-        The batched fit engine factors every unit's donor matrix up
-        front (:func:`factor_donor_matrices`); seeding the cache lets
-        :func:`robust_synthetic_control` and the placebo loop reuse
-        those SVDs through the existing cache lookups, no new code path.
-        """
-        self._factorizations[self._key(matrix)] = fact
-
-    def denoise(
-        self, matrix: np.ndarray, energy: float = 0.99, min_rank: int = 1
-    ) -> tuple[np.ndarray, int]:
-        """The (cached) denoised panel of *matrix* at *energy*."""
-        key = (*self._key(matrix), float(energy), int(min_rank))
-        hit = self._denoised.get(key)
-        if hit is None:
-            hit = denoise_from_factorization(
-                self.factorization(matrix), energy=energy, min_rank=min_rank
-            )
-            self._denoised[key] = hit
-        return hit
+    if fact is None:
+        return factor_donor_matrices([donors])[0]
+    if fact.filled.shape != np.shape(donors):
+        raise DonorPoolError(
+            f"factorization of shape {fact.filled.shape} does not match "
+            f"the donor matrix's {np.shape(donors)}"
+        )
+    return fact
 
 
 def ridge_weights(
@@ -515,7 +416,7 @@ def robust_synthetic_control(
     donor_names: Sequence[str] | None = None,
     energy: float = 0.99,
     ridge: float = 1e-2,
-    cache: DenoiseCache | None = None,
+    fact: DonorFactorization | None = None,
 ) -> SyntheticControlFit:
     """Fit robust synthetic control on a T x J donor panel.
 
@@ -529,16 +430,16 @@ def robust_synthetic_control(
         hard-threshold de-noising step.
     ridge:
         L2 penalty of the second-stage regression.
-    cache:
-        Optional :class:`DenoiseCache`; repeated fits of the same donor
-        matrix within a study run then share the de-noising work.
+    fact:
+        The donor matrix's factorization, when the caller already holds
+        it (the placebo loop shares one with the treated fit); ``None``
+        factors *donors* here.
     """
     treated, donors = _validate_panel(treated, donors, pre_periods)
     names = _donor_names(donor_names, donors.shape[1])
-    if cache is not None:
-        denoised, _rank = cache.denoise(donors, energy=energy)
-    else:
-        denoised, _rank = singular_value_threshold(donors, energy=energy)
+    denoised, _rank = denoise_from_factorization(
+        _checked_factorization(donors, fact), energy=energy
+    )
     return fit_from_denoised(
         treated, denoised, pre_periods, treated_name, names, ridge=ridge
     )

@@ -16,6 +16,11 @@ runs in a faster shape:
 - :func:`oracle_normalise_measurements` — the importer's normaliser,
   deriving each column row by row through :meth:`Frame.derive` (the
   package derives them column-wise).
+- :func:`factor_donor_matrix` and :func:`denoise_without_column` — one
+  donor matrix's impute-plus-SVD and one leave-one-out downdate, each a
+  2-D SVD of its own (the package batches both:
+  :func:`~repro.synthcontrol.robust.factor_donor_matrices` and
+  :func:`~repro.synthcontrol.robust.denoise_leave_one_out`).
 
 :func:`assert_frames_identical` is the comparison those parity tests
 use.
@@ -31,7 +36,7 @@ from typing import Any
 import numpy as np
 
 from repro.chaos.runtime import fault_point
-from repro.errors import FrameError
+from repro.errors import DonorPoolError, FrameError
 from repro.frames.column import KIND_BOOL, KIND_FLOAT, KIND_INT, KIND_OBJECT, Column
 from repro.frames.frame import Frame
 from repro.pipeline.aggregate import rtt_panel
@@ -43,6 +48,14 @@ from repro.pipeline.study import (
     _analyse_unit,
     _UnitTask,
     prepare_unit_plan,
+)
+from repro.synthcontrol.robust import (
+    DonorFactorization,
+    _check_energy,
+    _impute_columns,
+    _rank_for_energy,
+    _rescale_denoised,
+    _validate_donor_matrix,
 )
 
 FIT_KWARGS = (("energy", 0.99), ("ridge", 1e-2))
@@ -67,6 +80,54 @@ def oracle_study(
         assignment=assignment,
         skipped=tuple(o for o in outcomes if not isinstance(o, StudyRow)),
     )
+
+
+def factor_donor_matrix(matrix: np.ndarray) -> DonorFactorization:
+    """Impute and factor a donor matrix once, for repeated de-noising."""
+    matrix = _validate_donor_matrix(matrix)
+    filled, col_means, finite_counts = _impute_columns(matrix)
+    u, s, vt = np.linalg.svd(filled, full_matrices=False)
+    return DonorFactorization(
+        filled=filled,
+        col_means=col_means,
+        finite_counts=finite_counts,
+        u=u,
+        s=s,
+        vt=vt,
+    )
+
+
+def denoise_without_column(
+    fact: DonorFactorization, col: int, energy: float = 0.99, min_rank: int = 1
+) -> tuple[np.ndarray, int]:
+    """De-noise the donor matrix with column *col* deleted, by downdating.
+
+    Deleting a column of ``A = U S Vt`` leaves ``A' = U (S Vt')`` with
+    ``Vt'`` the corresponding column of ``Vt`` removed, so the SVD of
+    ``A'`` follows from the SVD of the small ``k x (J-1)`` core
+    ``S Vt'`` — the shared ``T x J`` SVD is never recomputed.  The
+    placebo loop calls this once per donor instead of running a full
+    de-noise per leave-one-out matrix.
+    """
+    _check_energy(energy)
+    j = fact.n_donors
+    if not 0 <= col < j:
+        raise DonorPoolError(f"column {col} out of range for {j} donors")
+    if j < 2:
+        raise DonorPoolError("cannot delete the only donor column")
+    col_means = np.delete(fact.col_means, col)
+    if fact.s.sum() == 0:
+        return np.delete(fact.filled, col, axis=1), 0
+    core = fact.s[:, None] * np.delete(fact.vt, col, axis=1)
+    u_core, s_sub, vt_sub = np.linalg.svd(core, full_matrices=False)
+    if s_sub.sum() == 0:
+        return np.delete(fact.filled, col, axis=1), 0
+    rank = _rank_for_energy(s_sub, energy, min_rank)
+    u_sub = fact.u @ u_core[:, :rank]
+    denoised = (u_sub * s_sub[:rank]) @ vt_sub[:rank]
+    observed = int(fact.finite_counts.sum() - fact.finite_counts[col])
+    p_obs = observed / (fact.n_times * (j - 1))
+    return _rescale_denoised(denoised, col_means, p_obs), rank
 
 
 def _parse_cell(text: str | None) -> Any:

@@ -3,13 +3,13 @@
 What these tests pin down:
 
 - the vectorized imputation (:func:`_impute_columns` inside
-  :func:`factor_donor_matrix`) is bit-identical to the historical
+  :func:`factor_donor_matrices`) is bit-identical to the historical
   per-column Python loop, across random NaN patterns, fully observed
   panels, and all-missing-column errors;
 - stacked cross-unit SVDs (:func:`factor_donor_matrices`,
-  :func:`denoise_leave_one_out_many`) match the per-unit calls
-  bit-for-bit, including degenerate spectra (``s.sum() == 0``) and
-  mixed donor-pool shapes;
+  :func:`denoise_leave_one_out`) match the one-matrix, one-column
+  oracles in ``tests/oracle.py`` bit-for-bit, including degenerate
+  spectra (``s.sum() == 0``) and mixed donor-pool shapes;
 - the prefactor planning pass produces factorizations the per-unit
   path would, survives the shared-memory slab round-trip exactly, and
   leaves the study's Table-1 rows bit-identical to the oracle (every
@@ -38,11 +38,9 @@ from repro.synthcontrol.placebo import placebo_test
 from repro.synthcontrol.robust import (
     DonorFactorization,
     denoise_leave_one_out,
-    denoise_leave_one_out_many,
     factor_donor_matrices,
-    factor_donor_matrix,
 )
-from tests.oracle import oracle_study
+from tests.oracle import denoise_without_column, factor_donor_matrix, oracle_study
 
 
 def _loop_impute(matrix: np.ndarray):
@@ -76,7 +74,7 @@ class TestVectorizedImputation:
             matrix = _random_matrix(rng, 25, 7, missing)
             if not np.isfinite(matrix).any(axis=0).all():
                 continue
-            fact = factor_donor_matrix(matrix)
+            (fact,) = factor_donor_matrices([matrix])
             filled, means, counts = _loop_impute(matrix)
             np.testing.assert_array_equal(fact.filled, filled)
             np.testing.assert_array_equal(fact.col_means, means)
@@ -86,7 +84,7 @@ class TestVectorizedImputation:
         matrix = np.ones((6, 3))
         matrix[:, 1] = np.nan
         with pytest.raises(DonorPoolError, match="donor column 1 is entirely"):
-            factor_donor_matrix(matrix)
+            factor_donor_matrices([matrix])
         with pytest.raises(DonorPoolError, match="donor column 1 is entirely"):
             _loop_impute(matrix)
 
@@ -94,7 +92,7 @@ class TestVectorizedImputation:
         matrix = np.full((5, 2), np.nan)
         matrix[:, 0] = 1.0
         matrix[2, 1] = 7.5
-        fact = factor_donor_matrix(matrix)
+        (fact,) = factor_donor_matrices([matrix])
         filled, means, _counts = _loop_impute(matrix)
         np.testing.assert_array_equal(fact.filled, filled)
         np.testing.assert_array_equal(fact.col_means, means)
@@ -145,6 +143,15 @@ class TestCrossUnitFactorization:
             factor_donor_matrices([np.ones((4, 2)), np.ones(3)])
 
 
+def _assert_loo_matches_oracle(fact, loo, cols=None, energy=0.99):
+    cols = range(fact.n_donors) if cols is None else cols
+    assert len(loo) == len(cols)
+    for col, (denoised, rank) in zip(cols, loo):
+        want, want_rank = denoise_without_column(fact, col, energy=energy)
+        assert rank == want_rank
+        np.testing.assert_array_equal(denoised, want)
+
+
 class TestCrossUnitLeaveOneOut:
     def _facts(self, shapes, rng):
         return [
@@ -155,31 +162,25 @@ class TestCrossUnitLeaveOneOut:
     def test_many_matches_per_unit_bit_for_bit(self):
         rng = np.random.default_rng(9)
         facts = self._facts([(25, 6)] * 5, rng)
-        batched = denoise_leave_one_out_many(facts, energy=0.99)
+        batched = denoise_leave_one_out(facts, energy=0.99)
         for fact, loo in zip(facts, batched):
-            single = denoise_leave_one_out(fact, energy=0.99)
-            assert len(loo) == len(single)
-            for (d_many, r_many), (d_one, r_one) in zip(loo, single):
-                assert r_many == r_one
-                np.testing.assert_array_equal(d_many, d_one)
+            _assert_loo_matches_oracle(fact, loo)
 
     def test_mixed_shapes_and_zero_spectrum(self):
         rng = np.random.default_rng(13)
         facts = self._facts([(20, 5), (30, 7), (20, 5)], rng)
         facts.append(factor_donor_matrix(np.zeros((10, 4))))
-        batched = denoise_leave_one_out_many(facts)
+        batched = denoise_leave_one_out(facts)
         assert len(batched) == len(facts)
         for fact, loo in zip(facts, batched):
-            single = denoise_leave_one_out(fact)
-            for (d_many, r_many), (d_one, r_one) in zip(loo, single):
-                assert r_many == r_one
-                np.testing.assert_array_equal(d_many, d_one)
+            _assert_loo_matches_oracle(fact, loo)
 
     def test_limit_is_per_unit(self):
         rng = np.random.default_rng(17)
         facts = self._facts([(15, 6), (15, 3)], rng)
-        batched = denoise_leave_one_out_many(facts, limit=4)
+        batched = denoise_leave_one_out(facts, cols=[range(4), None])
         assert [len(loo) for loo in batched] == [4, 3]
+        _assert_loo_matches_oracle(facts[0], batched[0], cols=range(4))
 
 
 class TestPrefactorEngine:
@@ -235,10 +236,7 @@ class TestPrefactorEngine:
             np.testing.assert_array_equal(pf.fact.s, single.s)
             np.testing.assert_array_equal(pf.fact.vt, single.vt)
             assert pf.loo is not None
-            single_loo = denoise_leave_one_out(single, energy=0.99)
-            for (d_pf, r_pf), (d_one, r_one) in zip(pf.loo, single_loo):
-                assert r_pf == r_one
-                np.testing.assert_array_equal(d_pf, d_one)
+            _assert_loo_matches_oracle(single, pf.loo)
 
     def test_slab_roundtrip_is_exact(self):
         panel = self._panel()
@@ -301,16 +299,12 @@ class TestPrefactorEngine:
         pf = table[unit]
         matrix = np.column_stack([panel.series(d) for d in pf.donors])
         treated_series = panel.series(unit)
-        from repro.synthcontrol.robust import DenoiseCache
-
-        cache = DenoiseCache()
-        cache.seed(matrix, pf.fact)
         seeded = placebo_test(
             treated_series,
             matrix,
             12,
             donor_names=pf.donors,
-            cache=cache,
+            fact=pf.fact,
             loo=pf.loo,
             energy=0.99,
             ridge=1e-2,

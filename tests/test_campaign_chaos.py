@@ -30,7 +30,7 @@ from repro.chaos import (
     fault_events,
 )
 from repro.pipeline.executor import RetryPolicy
-from repro.pipeline.shm import live_arena_blocks, live_panel_blocks
+from repro.pipeline.shm import live_arena_blocks
 
 SEED = int(os.environ.get("CHAOS_SEED", "7"))
 
@@ -136,10 +136,8 @@ class TestSharedMemoryDrains:
     def test_no_live_blocks_after_a_faulted_parallel_campaign(self):
         with active_plan(PLAN):
             run_campaign(FLEET, budget=BUDGET, n_jobs=2, retry=RETRY)
-        assert live_panel_blocks() == ()
         assert live_arena_blocks() == ()
 
     def test_no_live_blocks_after_a_clean_campaign(self, baseline):
         # `baseline` ran in this process; nothing may linger.
-        assert live_panel_blocks() == ()
         assert live_arena_blocks() == ()

@@ -118,6 +118,39 @@ class TestStudyParity:
         assert study.skipped == reference.skipped
 
 
+class TestExhaustionIsNotConvergence:
+    SPEC = ScenarioSpec(
+        name="anchor", kind="baseline", seed=1, measurement_seed=5,
+        n_donor_ases=8, duration_days=10,
+    )
+
+    def test_a_dry_queue_with_a_wide_ci_reads_exh(self):
+        result = run_campaign([self.SPEC], budget=10_000, tol=0.0)
+        (verdict,) = result.verdicts
+        assert verdict.ci_width > 0.0
+        assert verdict.exhausted and not verdict.converged
+        assert not result.all_converged
+        assert result.refits_until_converged() is None
+        assert not any(all(r.converged_after.values()) for r in result.trace)
+        row = result.format_campaign_table().splitlines()[2]
+        assert row.split()[-1] == "exh"
+        header, line = result.to_csv().splitlines()
+        assert header.endswith(",converged,exhausted")
+        assert line.endswith(",False,True")
+        assert json.loads(result.to_json())["verdicts"][0]["exhausted"] is True
+
+    def test_a_tight_ci_reads_yes_even_when_the_queue_is_dry(self):
+        # Uniform allocation never freezes, so the queue runs dry.
+        result = run_campaign(
+            [self.SPEC], budget=10_000, tol=1e9, allocation="uniform"
+        )
+        (verdict,) = result.verdicts
+        assert verdict.converged and verdict.exhausted
+        assert result.all_converged
+        assert result.refits_until_converged() is not None
+        assert result.format_campaign_table().splitlines()[2].split()[-1] == "yes"
+
+
 class TestValidation:
     def test_duplicate_spec_names_rejected(self):
         spec = ScenarioSpec(name="twin", duration_days=8, n_donor_ases=6)

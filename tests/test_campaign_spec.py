@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.campaign import (
     SCENARIO_KINDS,
@@ -15,7 +17,7 @@ from repro.campaign import (
     scenario_kinds,
 )
 from repro.campaign.spec import ScenarioSpec
-from repro.errors import SimulationError
+from repro.errors import ReproError, SimulationError
 
 
 class TestScenarioSpec:
@@ -171,6 +173,97 @@ class TestCampaignFiles:
         bad.write_text("scenarios:\n  - name: a\n")
         with pytest.raises(SimulationError, match="PyYAML"):
             load_campaign(bad)
+
+
+class TestMalformedCampaignFiles:
+    """Every malformed document is a SimulationError naming key and scenario."""
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (
+                {"scenarios": [{"name": "a", "seed": "x"}]},
+                "scenario 'a': 'seed' must be int, got 'x'",
+            ),
+            (
+                {"scenarios": [{"name": "a", "params": [1, 2]}]},
+                "scenario 'a': 'params' must be a mapping",
+            ),
+            ({"scenarios": ["a"]}, "scenario spec must be a mapping, got 'a'"),
+            (
+                {"scenarios": [{"name": "a"}], "campaign": {"budget": "lots"}},
+                "campaign: 'budget' must be int, got 'lots'",
+            ),
+            (
+                {"scenarios": [{"name": "a"}], "campaign": {"tol": [1]}},
+                "campaign: 'tol' must be float, got \\[1\\]",
+            ),
+            (
+                {"scenarios": [{"name": "b", "user_scale": None}]},
+                "scenario 'b': 'user_scale' must be float",
+            ),
+            (
+                {"scenarios": [{"name": "b", "duration_days": float("inf")}]},
+                "scenario 'b': 'duration_days' must be int",
+            ),
+            (
+                {"scenarios": [{"name": "b", 1: 2, "x": 3}]},
+                "unknown keys",
+            ),
+        ],
+    )
+    def test_typed_error_names_the_key(self, doc, message):
+        with pytest.raises(SimulationError, match=message):
+            parse_campaign(doc)
+
+    def test_cli_prints_the_error_without_a_traceback(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"scenarios": [{"name": "a", "seed": "x"}]}))
+        assert main(["campaign", "--scenarios", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "'seed' must be int" in err
+        assert "Traceback" not in err
+
+
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**70), 2**70)
+    | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+_SPEC_KEYS = [
+    "name", "kind", "seed", "measurement_seed", "n_donor_ases",
+    "duration_days", "join_day", "user_scale", "ingest_batches", "params",
+]
+_SPEC = st.dictionaries(
+    st.sampled_from(_SPEC_KEYS) | st.text(max_size=4), _JSON, max_size=6
+) | _JSON
+_DOC = st.fixed_dictionaries(
+    {"scenarios": st.lists(_SPEC, max_size=3) | _JSON},
+    optional={
+        "campaign": st.dictionaries(
+            st.sampled_from(["budget", "allocation", "tol", "round_refits"]),
+            _JSON,
+            max_size=4,
+        )
+        | _JSON
+    },
+) | _JSON
+
+
+@settings(max_examples=400, deadline=None)
+@given(_DOC)
+def test_parse_campaign_raises_only_repro_errors(doc):
+    try:
+        parse_campaign(doc)
+    except ReproError:
+        pass
 
 
 class TestDefaultFleet:

@@ -30,10 +30,8 @@ from repro.mplatform.speedtest import measurements_frame
 from repro.pipeline.executor import RetryPolicy
 from repro.pipeline.shm import (
     ARENA_PREFIX,
-    NAME_PREFIX,
     SharedFrameArena,
     live_arena_blocks,
-    live_panel_blocks,
 )
 from repro.pipeline.study import run_ixp_study
 from repro.stream.batches import replay_scenario
@@ -47,11 +45,7 @@ def _shm_entries() -> list[str]:
     """Our blocks as the OS sees them (Linux tmpfs), if visible at all."""
     if not os.path.isdir("/dev/shm"):  # pragma: no cover - non-tmpfs host
         return []
-    return [
-        p
-        for p in os.listdir("/dev/shm")
-        if p.startswith(ARENA_PREFIX) or p.startswith(NAME_PREFIX)
-    ]
+    return [p for p in os.listdir("/dev/shm") if p.startswith(ARENA_PREFIX)]
 
 
 def _float_columns(frame) -> dict[str, np.ndarray]:
@@ -228,7 +222,6 @@ class TestStudyDrainsItsArena:
         result = run_ixp_study(small_frame, small_scenario.ixp_name, n_jobs=2)
         assert result.rows
         assert live_arena_blocks() == ()
-        assert live_panel_blocks() == ()
         assert set(_shm_entries()) <= before
 
     def test_pool_rebuild_reattaches_slabs_then_drains(
@@ -244,12 +237,11 @@ class TestStudyDrainsItsArena:
             result = run_ixp_study(
                 small_frame, small_scenario.ixp_name, n_jobs=2, retry=RETRY
             )
-        # The rebuilt pool re-ran the initializer, re-attaching the panel
-        # block, and the retried task re-attached its prefactor slabs by
-        # name; the table and the tmpfs are untouched.
+        # The retried task re-attached the panel block and its prefactor
+        # slabs by name in the rebuilt pool; the table and the tmpfs are
+        # untouched.
         assert result.rows == baseline.rows
         assert live_arena_blocks() == ()
-        assert live_panel_blocks() == ()
         assert set(_shm_entries()) <= before
 
     def test_mid_study_exception_still_drains(self, small_frame, small_scenario):
@@ -259,7 +251,6 @@ class TestStudyDrainsItsArena:
             with pytest.raises(InjectedFault):
                 run_ixp_study(small_frame, small_scenario.ixp_name, n_jobs=2)
         assert live_arena_blocks() == ()
-        assert live_panel_blocks() == ()
         assert set(_shm_entries()) <= before
 
 

@@ -7,8 +7,10 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.errors import FrameError
+from repro.errors import FrameError, ReproError
 from repro.frames import Frame, read_csv_text, to_csv_text, write_csv
 from repro.netsim.ids import Prefix
 from repro.pipeline import (
@@ -110,6 +112,69 @@ class TestNormalisation:
     def test_no_prefixes_yields_empty_crossings(self):
         out = normalise_measurements(raw_frame())
         assert all(r["ixps"] == "" for r in out.iter_rows())
+
+
+class TestAsnValidation:
+    HEADER = "asn,city,time_hour,rtt_ms\n"
+
+    def _import(self, tmp_path, asn):
+        path = tmp_path / "m.csv"
+        path.write_text(f"{self.HEADER}{asn},Durban,1,20.5\n3741,Durban,2,21.0\n")
+        return import_csv(path)
+
+    @pytest.mark.parametrize(
+        "asn, shown",
+        [("abc", "'abc'"), ("true", "True"), ("-5", "-5"), ("1e23", "1e\\+23"),
+         ("4294967296", "4294967296"), ("inf", "inf"), ("12.5", "12.5")],
+    )
+    def test_non_asn_values_raise_a_frame_error(self, tmp_path, asn, shown):
+        with pytest.raises(FrameError, match=f"column 'asn' .*got {shown}$"):
+            self._import(tmp_path, asn)
+
+    @pytest.mark.parametrize(
+        "asn, unit", [("3741.0", "AS3741/Durban"), ("0", "AS0/Durban"),
+                      ("4294967295", "AS4294967295/Durban")],
+    )
+    def test_integral_values_in_range_are_asns(self, tmp_path, asn, unit):
+        assert list(self._import(tmp_path, asn)["unit"])[0] == unit
+
+
+#: Per-column cells: mostly well-formed, with the malformed values each
+#: column has been seen to receive.
+_CELLS = {
+    "asn": ["3741", "3741.0", "0", "-5", "1e23", "4294967296", "abc", "true", ""],
+    "city": ["Durban", "Cape Town", "7", "true", ""],
+    "time_hour": ["1", "25.5", "48", "inf", "nan", "x", ""],
+    "rtt_ms": ["20.5", "7", "-1", "nan", "abc", ""],
+    "hop_ips": ["196.60.8.9|10.0.0.1", "10.0.0.1", "*|²", '"a,b"', ""],
+    "trigger": ["user", "1", ""],
+}
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    st.permutations(list(_CELLS)),
+    st.sets(st.sampled_from(list(_CELLS)), max_size=2),
+    st.data(),
+)
+def test_import_csv_raises_only_repro_errors(tmp_path, columns, dropped, data):
+    header = [c for c in columns if c not in dropped]
+    rows = data.draw(
+        st.lists(
+            st.tuples(*(st.sampled_from(_CELLS[c]) for c in header)), max_size=6
+        )
+    )
+    path = tmp_path / "fuzz.csv"
+    lines = [",".join(header)] + [",".join(row) for row in rows]
+    path.write_text("\n".join(lines) + "\n")
+    try:
+        import_csv(path, PREFIXES)
+    except ReproError:
+        pass
 
 
 class TestRoundTripThroughPipeline:

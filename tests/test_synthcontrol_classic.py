@@ -195,60 +195,68 @@ class TestDenoiseReuse:
     def test_factorization_roundtrip(self):
         from repro.synthcontrol import (
             denoise_from_factorization,
-            factor_donor_matrix,
+            factor_donor_matrices,
         )
 
         m = self._noisy_panel()
         direct, rank_d = singular_value_threshold(m, energy=0.95)
-        fact = factor_donor_matrix(m)
+        (fact,) = factor_donor_matrices([m])
         reused, rank_r = denoise_from_factorization(fact, energy=0.95)
         assert rank_d == rank_r
         np.testing.assert_allclose(reused, direct, rtol=0, atol=1e-10)
 
     def test_column_downdate_matches_direct(self):
-        from repro.synthcontrol import denoise_without_column, factor_donor_matrix
+        from repro.synthcontrol import denoise_leave_one_out, factor_donor_matrices
 
         m = self._noisy_panel()
-        fact = factor_donor_matrix(m)
-        for col in (0, 5, 11):
+        (fact,) = factor_donor_matrices([m])
+        cols = (0, 5, 11)
+        (downs,) = denoise_leave_one_out([fact], energy=0.95, cols=[cols])
+        for col, (down, rank_k) in zip(cols, downs):
             direct, rank_d = singular_value_threshold(
                 np.delete(m, col, axis=1), energy=0.95
             )
-            down, rank_k = denoise_without_column(fact, col, energy=0.95)
             assert rank_d == rank_k
             np.testing.assert_allclose(down, direct, rtol=0, atol=1e-8)
 
     def test_cache_returns_same_objects(self):
-        from repro.synthcontrol import DenoiseCache
+        # The campaign workers' content-keyed factorization cache.
+        from repro.campaign.scheduler import _worker_factorization
 
-        cache = DenoiseCache()
         m = self._noisy_panel()
-        first, rank1 = cache.denoise(m, energy=0.95)
-        second, rank2 = cache.denoise(m, energy=0.95)
-        assert rank1 == rank2
-        assert first is second  # memoised, not recomputed
+        assert _worker_factorization(m) is _worker_factorization(m.copy())
 
     def test_cache_distinguishes_equal_shapes(self):
-        from repro.synthcontrol import DenoiseCache
+        from repro.campaign.scheduler import _worker_factorization
 
-        cache = DenoiseCache()
         a = self._noisy_panel(seed=1)
         b = self._noisy_panel(seed=2)
-        da, _ = cache.denoise(a, energy=0.95)
-        db, _ = cache.denoise(b, energy=0.95)
-        assert not np.allclose(da, db)
+        fa = _worker_factorization(a)
+        fb = _worker_factorization(b)
+        assert fa is not fb
+        assert not np.allclose(fa.s, fb.s)
 
     def test_cached_fit_matches_uncached(self):
-        from repro.synthcontrol import DenoiseCache
+        from repro.synthcontrol import factor_donor_matrices
 
         m = self._noisy_panel()
         treated = m[:, 0] + 1.0
         donors = m[:, 1:]
         plain = robust_synthetic_control(treated, donors, 25)
-        cached = robust_synthetic_control(
-            treated, donors, 25, cache=DenoiseCache()
-        )
+        (fact,) = factor_donor_matrices([donors])
+        cached = robust_synthetic_control(treated, donors, 25, fact=fact)
         np.testing.assert_array_equal(plain.synthetic, cached.synthetic)
+
+    def test_factorization_of_another_shape_is_rejected(self):
+        from repro.synthcontrol import factor_donor_matrices, placebo_test
+
+        m = self._noisy_panel()
+        treated = m[:, 0] + 1.0
+        (other,) = factor_donor_matrices([m[:, 2:]])
+        with pytest.raises(DonorPoolError, match="does not match"):
+            robust_synthetic_control(treated, m[:, 1:], 25, fact=other)
+        with pytest.raises(DonorPoolError, match="does not match"):
+            placebo_test(treated, m[:, 1:], 25, fact=other)
 
 
 class TestRidgeWeights:

@@ -7,12 +7,17 @@ from repro.errors import DonorPoolError, EstimationError
 from repro.estimators.bootstrap import permutation_p_value
 from repro.synthcontrol import (
     extend_factorization,
-    factor_donor_matrix,
+    factor_donor_matrices,
     fit_from_denoised,
     live_placebo_ratios,
     placebo_test,
 )
 from repro.synthcontrol.robust import denoise_from_factorization
+
+
+def factor_donor_matrix(matrix):
+    """The cold factorization: one matrix through the batched primitive."""
+    return factor_donor_matrices([matrix])[0]
 
 
 def _assert_factorizations_match(warm, cold):
