@@ -3,11 +3,12 @@
 Runs a fleet of :class:`~repro.campaign.spec.ScenarioSpec`s as one
 campaign on the existing executor/retry/checkpoint/shared-memory stack:
 
-- **Stage A** builds each scenario's world and measurement frame (into
-  a per-scenario :class:`~repro.pipeline.shm.SharedFrameArena`, closed
-  as soon as the panel is pivoted out), screens treated units with the
-  batch study's own :func:`~repro.pipeline.study.prepare_unit_plan`,
-  and opens one checkpoint journal per scenario.
+- **Stage A** builds each scenario's world and measurement frame,
+  pivots its panel (shared through the campaign's one
+  :class:`~repro.pipeline.shm.SharedFrameArena` on a pool), screens
+  treated units with the batch study's own
+  :func:`~repro.pipeline.study.prepare_unit_plan`, and opens one
+  checkpoint journal per scenario.
 - **Stage B** interleaves every scenario's base unit fits round-robin
   onto one shared executor — scenario B's fits don't wait for scenario
   A's, and a single process pool serves the whole campaign.
@@ -35,7 +36,7 @@ import hashlib
 import io
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Any
 
@@ -625,26 +626,19 @@ def run_campaign(
             n_jobs=workers,
         ):
             # ------------------------------------------------- stage A
-            for i, spec in enumerate(specs):
+            for spec in specs:
                 with span("campaign.scenario", scenario=spec.name, kind=spec.kind):
                     scenario = build_scenario(spec)
-                    arena = SharedFrameArena(tag=f"c{i}")
-                    try:
-                        frame = measurements_frame(
-                            scenario, rng=spec.measurement_seed, arena=arena
+                    frame = measurements_frame(scenario, rng=spec.measurement_seed)
+                    if spec.ingest_batches > 1:
+                        assignment, panel = _ingest_scenario(
+                            frame, scenario.ixp_name, spec, retry
                         )
-                        if spec.ingest_batches > 1:
-                            assignment, panel = _ingest_scenario(
-                                frame, scenario.ixp_name, spec, retry
-                            )
-                        else:
-                            assignment = assign_treatment(frame, scenario.ixp_name)
-                            panel = rtt_panel(frame, period="day", outcome="rtt_ms")
-                    finally:
-                        # The frame's columns are views into arena blocks;
-                        # drop them before closing so the unmap succeeds.
-                        frame = None
-                        arena.close()
+                    else:
+                        assignment = assign_treatment(frame, scenario.ixp_name)
+                        panel = rtt_panel(frame, period="day", outcome="rtt_ms")
+                    # Only the panel and assignment outlive stage A.
+                    del frame
                     shared = None
                     if panels is not None:
                         panel, shared = panels.share_panel(panel)
@@ -673,7 +667,6 @@ def run_campaign(
                             fit_kwargs=tuple(
                                 sorted({"energy": energy, "ridge": ridge}.items())
                             ),
-                            task_panel=shared if shared is not None else panel,
                         ),
                         checkpoint=ckpt,
                     )
@@ -712,7 +705,9 @@ def run_campaign(
                     if isinstance(skip, tuple):
                         state.fit_skips[skip[0]] = skip[1]
                         continue
-                    tasks.append((state.name, step))
+                    tasks.append(
+                        (state.name, replace(step, panel=state.task_panel()))
+                    )
                 per_scenario_tasks.append(tasks)
             fit_tasks = _interleave(per_scenario_tasks)
             by_name = {state.name: state for state in states}

@@ -72,8 +72,9 @@ stopped, producing byte-identical output).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 
 from repro.errors import ReproError
 
@@ -143,6 +144,51 @@ def _write_obs_outputs(args: argparse.Namespace) -> None:
         print(f"wrote metrics to {metrics_path}", file=sys.stderr)
 
 
+def _print_study(result) -> None:
+    """The study table, then one ``skipped`` line per unit it could not fit."""
+    print(result.format_table())
+    if result.skipped:
+        print()
+        for unit, reason in result.skipped:
+            print(f"skipped {unit}: {reason}")
+
+
+@contextlib.contextmanager
+def _telemetry_endpoint(
+    args: argparse.Namespace, sink: str, routes: str
+) -> Iterator[object]:
+    """Serve a telemetry *sink* over loopback HTTP while the block runs.
+
+    *sink* names the :mod:`repro.obs.serve` class to publish through
+    (``TelemetryPublisher`` for one study, ``TelemetryMux`` for a
+    campaign's channels); the block receives the instance, or ``None``
+    without ``--serve-telemetry``.  The endpoint URL and its *routes*
+    go to stderr.  After a clean exit the endpoint stays up for
+    ``--telemetry-linger`` seconds; it is stopped either way.
+    """
+    if args.serve_telemetry is None:
+        yield None
+        return
+    from repro.obs import serve
+
+    telemetry = getattr(serve, sink)()
+    server = serve.TelemetryServer(telemetry, port=args.serve_telemetry).start()
+    print(f"telemetry endpoint: {server.url()} ({routes})", file=sys.stderr)
+    try:
+        yield telemetry
+        if args.telemetry_linger > 0:
+            import time
+
+            print(
+                f"telemetry endpoint lingering {args.telemetry_linger:g}s "
+                f"at {server.url()}",
+                file=sys.stderr,
+            )
+            time.sleep(args.telemetry_linger)
+    finally:
+        server.stop()
+
+
 def _cmd_studies(args: argparse.Namespace) -> int:
     from repro.studies import (
         run_collider_experiment,
@@ -194,11 +240,7 @@ def _cmd_import(args: argparse.Namespace) -> int:
         checkpoint=args.checkpoint,
         resume=args.resume,
     )
-    print(result.format_table())
-    if result.skipped:
-        print()
-        for unit, reason in result.skipped:
-            print(f"skipped {unit}: {reason}")
+    _print_study(result)
     _maybe_print_timings(args, result)
     _write_obs_outputs(args)
     return 0
@@ -257,28 +299,18 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         f"(ixp={scenario.ixp_name})",
         file=sys.stderr,
     )
-    publisher = None
-    server = None
-    if args.serve_telemetry is not None:
-        from repro.obs.serve import TelemetryPublisher, TelemetryServer
-
-        publisher = TelemetryPublisher()
-        server = TelemetryServer(publisher, port=args.serve_telemetry).start()
-        print(
-            f"telemetry endpoint: {server.url()} "
-            f"(/metrics /health /live)",
-            file=sys.stderr,
+    with _telemetry_endpoint(
+        args, "TelemetryPublisher", "/metrics /health /live"
+    ) as publisher:
+        study = StreamStudy(
+            scenario.ixp_name,
+            n_jobs=args.jobs,
+            retry=_retry_policy(args),
+            checkpoint=args.checkpoint,
+            resume=args.resume,
+            live_refits=not args.no_live_refits,
+            telemetry=publisher,
         )
-    study = StreamStudy(
-        scenario.ixp_name,
-        n_jobs=args.jobs,
-        retry=_retry_policy(args),
-        checkpoint=args.checkpoint,
-        resume=args.resume,
-        live_refits=not args.no_live_refits,
-        telemetry=publisher,
-    )
-    try:
         with _maybe_sampler(args), study:
             for batch in batches:
                 report = study.ingest(batch)
@@ -292,42 +324,23 @@ def _cmd_stream(args: argparse.Namespace) -> int:
                     file=sys.stderr,
                 )
             result = study.finalize()
-    except BaseException:
-        if server is not None:
-            server.stop()
-        raise
-    print(result.format_table())
-    if result.skipped:
-        print()
-        for unit, reason in result.skipped:
-            print(f"skipped {unit}: {reason}")
-    exit_code = 0
-    if args.parity_check:
-        from repro.pipeline import run_ixp_study
+        _print_study(result)
+        exit_code = 0
+        if args.parity_check:
+            from repro.pipeline import run_ixp_study
 
-        reference = run_ixp_study(frame, scenario.ixp_name, n_jobs=args.jobs)
-        if to_csv_text(result.to_frame()) == to_csv_text(
-            reference.to_frame()
-        ) and result.skipped == reference.skipped:
-            print("\nparity check: streamed rows identical to batch study")
-        else:
-            print(
-                "parity check FAILED: streamed rows differ from the batch study",
-                file=sys.stderr,
-            )
-            exit_code = 1
-    _write_obs_outputs(args)
-    if server is not None:
-        if args.telemetry_linger > 0:
-            import time
-
-            print(
-                f"telemetry endpoint lingering {args.telemetry_linger:g}s "
-                f"at {server.url()}",
-                file=sys.stderr,
-            )
-            time.sleep(args.telemetry_linger)
-        server.stop()
+            reference = run_ixp_study(frame, scenario.ixp_name, n_jobs=args.jobs)
+            if to_csv_text(result.to_frame()) == to_csv_text(
+                reference.to_frame()
+            ) and result.skipped == reference.skipped:
+                print("\nparity check: streamed rows identical to batch study")
+            else:
+                print(
+                    "parity check FAILED: streamed rows differ from the batch study",
+                    file=sys.stderr,
+                )
+                exit_code = 1
+        _write_obs_outputs(args)
     return exit_code
 
 
@@ -364,19 +377,11 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         f"({', '.join(s.name for s in sorted(specs, key=lambda s: s.name))})",
         file=sys.stderr,
     )
-    telemetry = None
-    server = None
-    if args.serve_telemetry is not None:
-        from repro.obs.serve import TelemetryMux, TelemetryServer
-
-        telemetry = TelemetryMux()
-        server = TelemetryServer(telemetry, port=args.serve_telemetry).start()
-        print(
-            f"telemetry endpoint: {server.url()} "
-            f"(/metrics /health /live; per-scenario channels under /live)",
-            file=sys.stderr,
-        )
-    try:
+    with _telemetry_endpoint(
+        args,
+        "TelemetryMux",
+        "/metrics /health /live; per-scenario channels under /live",
+    ) as telemetry:
         with _maybe_sampler(args):
             result = run_campaign(
                 specs,
@@ -391,31 +396,16 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                 resume=args.resume,
                 telemetry=telemetry,
             )
-    except BaseException:
-        if server is not None:
-            server.stop()
-        raise
-    print(result.format_campaign_table())
-    if args.export_csv:
-        with open(args.export_csv, "w") as f:
-            f.write(result.to_csv())
-        print(f"wrote verdict table to {args.export_csv}", file=sys.stderr)
-    if args.export_json:
-        with open(args.export_json, "w") as f:
-            f.write(result.to_json())
-        print(f"wrote campaign JSON to {args.export_json}", file=sys.stderr)
-    _write_obs_outputs(args)
-    if server is not None:
-        if args.telemetry_linger > 0:
-            import time
-
-            print(
-                f"telemetry endpoint lingering {args.telemetry_linger:g}s "
-                f"at {server.url()}",
-                file=sys.stderr,
-            )
-            time.sleep(args.telemetry_linger)
-        server.stop()
+        print(result.format_campaign_table())
+        if args.export_csv:
+            with open(args.export_csv, "w") as f:
+                f.write(result.to_csv())
+            print(f"wrote verdict table to {args.export_csv}", file=sys.stderr)
+        if args.export_json:
+            with open(args.export_json, "w") as f:
+                f.write(result.to_json())
+            print(f"wrote campaign JSON to {args.export_json}", file=sys.stderr)
+        _write_obs_outputs(args)
     return 0
 
 

@@ -16,7 +16,7 @@ time, so the per-row cost is amortised away entirely.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from typing import Any
 
 import numpy as np
@@ -109,36 +109,9 @@ class ColumnBuilder:
         self._chunk_kinds.append(kind)
         self._kind = kind if self._kind is None else _unify_kinds(self._kind, kind)
 
-    def build(self, into: np.ndarray | None = None) -> Column:
-        """Seal: one concatenate (plus kind widening when chunks disagreed).
-
-        *into*, when given, must be a 1-D float64 buffer of exactly
-        ``len(self)`` elements (e.g. a shared-memory view): chunks are
-        written into it sequentially and the sealed column wraps the
-        buffer itself — no concatenate, no final copy, and the caller's
-        block holds the column's storage.  Only float columns support
-        this (the shared transport is numeric-only).
-        """
+    def build(self) -> Column:
+        """Seal: one concatenate (plus kind widening when chunks disagreed)."""
         kind = self._kind if self._kind is not None else KIND_OBJECT
-        if into is not None:
-            if kind != KIND_FLOAT:
-                raise FrameError(
-                    f"column {self.name!r} has kind {kind!r}; only float "
-                    "columns can seal into a caller buffer"
-                )
-            if into.ndim != 1 or into.dtype != np.float64 or len(into) != len(self):
-                raise FrameError(
-                    f"seal buffer for column {self.name!r} must be 1-D "
-                    f"float64 of length {len(self)}, got "
-                    f"{into.dtype} array of shape {into.shape}"
-                )
-            pos = 0
-            for chunk, chunk_kind in zip(self._chunks, self._chunk_kinds):
-                if chunk_kind != kind:
-                    chunk = Column(self.name, chunk, kind=chunk_kind).astype(kind).values
-                into[pos : pos + len(chunk)] = chunk
-                pos += len(chunk)
-            return Column(self.name, into, kind=kind)
         if not self._chunks:
             return Column(self.name, np.empty(0, dtype=object), kind=kind)
         if len(self._chunks) == 1 and self._chunk_kinds[0] == kind:
@@ -225,23 +198,8 @@ class FrameBuilder:
             self._builders[name].commit_chunk(values, kind)
         self._rows += distinct.pop() if distinct else 0
 
-    def build(self, alloc: "Callable[[str, int], np.ndarray | None] | None" = None) -> Frame:
-        """Seal every column (one concatenate each) and return the frame.
-
-        *alloc*, when given, is called as ``alloc(name, length)`` for
-        every **float** column; returning a float64 buffer seals that
-        column directly into it (see :meth:`ColumnBuilder.build`),
-        returning ``None`` keeps the normal concatenate path.  This is
-        how a caller lands a builder's numeric columns in
-        shared-memory without an extra copy.
-        """
+    def build(self) -> Frame:
+        """Seal every column (one concatenate each) and return the frame."""
         if self._builders is None:
             return Frame()
-        columns = []
-        for name in self._order:
-            builder = self._builders[name]
-            into = None
-            if alloc is not None and builder.kind == KIND_FLOAT:
-                into = alloc(name, len(builder))
-            columns.append(builder.build(into=into))
-        return Frame(columns)
+        return Frame([self._builders[name].build() for name in self._order])

@@ -14,10 +14,9 @@ column, a per-cell fallback only for mixed ones — and every row then
 gathers its cell's parsed value by code.  Measurement exports repeat a
 handful of ASNs, cities and paths across ~10^5 rows, so the parse cost
 follows the number of distinct cells, not rows; a column whose every
-cell is distinct is cast as it stands.  Float columns land in the
-caller's ``alloc`` buffers (shared-memory arenas) whichever stage
-parses them.  Writing formats each column as one vectorized cast, so
-the ``simulate → import`` round-trip scales with columns, not cells.
+cell is distinct is cast as it stands.  Writing formats each column
+as one vectorized cast, so the ``simulate → import`` round-trip scales
+with columns, not cells.
 
 Rows wider than the header are an error (their extra cells would
 otherwise vanish silently); underscore number literals like ``1_000``,
@@ -29,7 +28,7 @@ from __future__ import annotations
 
 import csv
 import io
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from pathlib import Path
 from typing import Any
 
@@ -118,60 +117,36 @@ def _parse_distinct(cells: list[str | None]) -> tuple[str, np.ndarray]:
         return KIND_OBJECT, _coerce(values, KIND_OBJECT)
 
 
-def _parse_column(
-    name: str,
-    raw: Sequence[str | None],
-    alloc: Callable[[str, int], np.ndarray] | None = None,
-) -> Column:
+def _parse_column(name: str, raw: Sequence[str | None]) -> Column:
     """Parse one column of raw CSV cells, each distinct cell once.
 
     Missing cells are ``None``/``""``.  The distinct cells, in
     first-appearance order, go through :func:`_parse_distinct`; each
     row then gathers its cell's parsed value by code.  A column whose
     every cell is distinct skips the codes and is cast as it stands.
-    *alloc* — the
-    :meth:`~repro.pipeline.shm.SharedFrameArena.column_alloc` hook —
-    provides a float column's destination buffer, so an imported
-    frame's numeric storage can land directly in shared memory.
     """
     n = len(raw)
     cells = list(dict.fromkeys(raw))
     kind, parsed = _parse_distinct(cells)
-    codes = None
     if len(cells) < n:
         index = {c: i for i, c in enumerate(cells)}
         codes = np.fromiter(map(index.__getitem__, raw), dtype=np.intp, count=n)
-    if kind == KIND_FLOAT and alloc is not None:
-        values = alloc(name, n)
-        if codes is None:
-            values[:] = parsed
-        else:
-            np.take(parsed, codes, out=values)
-    else:
-        values = parsed if codes is None else parsed[codes]
-    return Column(name, values, kind=kind)
+        parsed = parsed[codes]
+    return Column(name, parsed, kind=kind)
 
 
-def read_csv(
-    path: str | Path,
-    alloc: Callable[[str, int], np.ndarray] | None = None,
-) -> Frame:
+def read_csv(path: str | Path) -> Frame:
     """Read a CSV file with a header row into a frame."""
     with open(path, newline="") as f:
-        return read_csv_text(f.read(), alloc=alloc)
+        return read_csv_text(f.read())
 
 
-def read_csv_text(
-    text: str,
-    alloc: Callable[[str, int], np.ndarray] | None = None,
-) -> Frame:
+def read_csv_text(text: str) -> Frame:
     """Parse CSV content (header row required) into a frame.
 
     Rows with fewer cells than the header are padded with missing
     values; rows with *more* cells raise :class:`FrameError` (the
-    surplus cells have no column to land in).  *alloc* routes float
-    columns into caller-provided buffers (shared-memory arenas); see
-    :func:`_parse_column`.
+    surplus cells have no column to land in).
     """
     rows = list(csv.reader(io.StringIO(text)))
     if not rows:
@@ -191,9 +166,7 @@ def read_csv_text(
             padded.append(row + [None] * (width - len(row)))
         body = padded
     raw = list(zip(*body)) or [()] * width
-    return Frame(
-        [_parse_column(name, cells, alloc=alloc) for name, cells in zip(header, raw)]
-    )
+    return Frame([_parse_column(name, cells) for name, cells in zip(header, raw)])
 
 
 def _format_cell(value: Any) -> str:

@@ -33,12 +33,8 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from repro.pipeline.shm import SharedFrameArena
 
 from repro.errors import PlatformError
 from repro.obs import get_metrics, span
@@ -336,7 +332,6 @@ class SpeedTestGenerator:
         self,
         rng: np.random.Generator | int | None = 0,
         mode: str = "batch",
-        arena: "SharedFrameArena | None" = None,
     ) -> Frame:
         """Run the whole window and return the measurement frame directly.
 
@@ -352,20 +347,13 @@ class SpeedTestGenerator:
         (:meth:`generate`) followed by row-by-row frame export.  Cell
         counts are identical across modes under the same seed; samples
         agree in distribution.
-
-        *arena* (batch mode only) seals the frame's float columns
-        straight into that :class:`~repro.pipeline.shm.SharedFrameArena`'s
-        named blocks — the downstream study pipeline then reads the
-        same pages a process pool would attach, no private copy.
         """
         if mode == "scalar":
-            if arena is not None:
-                raise PlatformError("arena-backed columns need mode='batch'")
             return measurements_to_frame(self.generate(rng))
         if mode != "batch":
             raise PlatformError(f"unknown generation mode {mode!r}")
         with span("generate", mode="batch") as sp:
-            frame = self._generate_batch(rng, arena=arena)
+            frame = self._generate_batch(rng)
             sp.set(rows=frame.num_rows)
         get_metrics().counter(
             "measurements_generated_total", "speed tests emitted by the simulator"
@@ -373,11 +361,7 @@ class SpeedTestGenerator:
         logger.info("generated %d measurements (batched path)", frame.num_rows)
         return frame
 
-    def _generate_batch(
-        self,
-        rng: np.random.Generator | int | None,
-        arena: "SharedFrameArena | None" = None,
-    ) -> Frame:
+    def _generate_batch(self, rng: np.random.Generator | int | None) -> Frame:
         rate_rng, noise_rng = _split_rng(rng)
         plan = self._plan(rate_rng)
         scenario = self.scenario
@@ -433,8 +417,7 @@ class SpeedTestGenerator:
                     "download_mbps": tput.download_mbps,
                 }
             )
-        alloc = arena.column_alloc("measurements") if arena is not None else None
-        return builder.build(alloc=alloc)
+        return builder.build()
 
     # -- trigger attribution ---------------------------------------------------
 
@@ -513,17 +496,14 @@ def measurements_frame(
     rng: np.random.Generator | int | None = 0,
     endogenous: bool = True,
     mode: str = "batch",
-    arena: "SharedFrameArena | None" = None,
 ) -> Frame:
     """Convenience wrapper: generate a scenario's measurement frame.
 
     The batched columnar path is the default; pass ``mode="scalar"``
     for the classic per-``Measurement`` object path (same cell counts,
-    same distributions, a lot slower).  *arena* seals float columns
-    into shared-memory blocks (see
-    :meth:`SpeedTestGenerator.generate_frame`).
+    same distributions, a lot slower).
     """
     generator = SpeedTestGenerator(
         scenario, SpeedTestConfig(endogenous=endogenous)
     )
-    return generator.generate_frame(rng, mode=mode, arena=arena)
+    return generator.generate_frame(rng, mode=mode)

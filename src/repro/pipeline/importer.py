@@ -21,12 +21,8 @@ from __future__ import annotations
 import logging
 from collections.abc import Mapping, Sequence
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from repro.pipeline.shm import SharedFrameArena
 
 from repro.chaos.runtime import fault_point
 from repro.errors import FrameError, SimulationError
@@ -80,7 +76,8 @@ def normalise_measurements(
     ``hop_ips``) once per distinct hop string, and ``day`` and
     ``crosses_ixp`` in one array pass each.  Raises :class:`FrameError`
     with an actionable message when required columns are missing or
-    malformed (non-numeric or non-finite ``time_hour``).
+    malformed (non-numeric or non-finite ``time_hour``, or one whose
+    day lies outside the int64 range).
     """
     missing = [c for c in REQUIRED_COLUMNS if c not in raw]
     if missing:
@@ -100,7 +97,10 @@ def normalise_measurements(
     hours = out.numeric("time_hour")
     if not np.isfinite(hours).all():
         raise FrameError("column 'time_hour' has non-finite values")
-    out = out.with_column("day", np.floor_divide(hours, 24).astype(np.int64))
+    days = np.floor_divide(hours, 24)
+    if not ((days >= -(2.0**63)) & (days < 2.0**63)).all():
+        raise FrameError("column 'time_hour' has values beyond the int64 day range")
+    out = out.with_column("day", days.astype(np.int64))
 
     if "ixps" not in out:
         if ixp_prefixes and "hop_ips" in out:
@@ -155,9 +155,7 @@ def _is_asn(value: object) -> bool:
     return 0 <= value < 2**32
 
 
-def read_measurement_csv(
-    path: str | Path, arena: "SharedFrameArena | None" = None
-) -> Frame:
+def read_measurement_csv(path: str | Path) -> Frame:
     """Read a measurement CSV, surviving a truncated final line.
 
     A crashed or killed writer leaves its last row half-written (no
@@ -166,8 +164,6 @@ def read_measurement_csv(
     unterminated final line is dropped with a warning rather than
     trusted.  The raw text also passes through the ``"import.read"``
     fault point, where a chaos plan may truncate or garble it.
-    *arena* seals the parsed float columns straight into shared-memory
-    blocks (zero-copy hand-off to a pooled study).
     """
     with open(path, newline="") as f:
         text = f.read()
@@ -183,25 +179,16 @@ def read_measurement_csv(
             "truncated trailing CSV lines dropped on import",
         ).inc()
         text = head + "\n" if head else ""
-    alloc = arena.column_alloc("import") if arena is not None else None
-    return read_csv_text(text, alloc=alloc)
+    return read_csv_text(text)
 
 
 def import_csv(
     path: str | Path,
     ixp_prefixes: dict[str, list[Prefix]] | None = None,
-    arena: "SharedFrameArena | None" = None,
 ) -> Frame:
-    """Read and normalise a measurement CSV in one call.
-
-    *arena* passes through to :func:`read_measurement_csv`: the raw
-    frame's float columns are sealed into shared-memory blocks as they
-    parse.
-    """
+    """Read and normalise a measurement CSV in one call."""
     with span("import.csv", path=str(path)) as sp:
-        frame = normalise_measurements(
-            read_measurement_csv(path, arena=arena), ixp_prefixes
-        )
+        frame = normalise_measurements(read_measurement_csv(path), ixp_prefixes)
         sp.set(rows=frame.num_rows)
     get_metrics().counter(
         "measurements_imported_total", "measurement rows imported from CSV"

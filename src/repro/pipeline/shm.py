@@ -2,16 +2,18 @@
 
 One mechanism, :class:`SharedFrameArena`, puts every array a pool
 worker reads into named :mod:`multiprocessing.shared_memory` blocks, so
-a pool task ships tiny picklable references instead of the arrays:
+a pool task ships tiny picklable references instead of the arrays.  It
+has two users, each opening one arena only when a process pool runs:
 
-- measurement-frame columns, sealed straight out of
-  :meth:`repro.frames.builder.FrameBuilder.build` via its ``alloc=``
-  hook, or a CSV import's float columns;
-- the study's panel matrix: :meth:`SharedFrameArena.allocate` is the
-  pivot's ``matrix_factory``, so the panel scatters directly into a
-  block, and a task carries a :class:`SharedPanelRef` (the matrix's
-  :class:`SharedArrayRef` plus the time and unit labels);
-- the batched fit engine's pre-factored slabs.
+- the study's fit stage
+  (:func:`~repro.pipeline.study.execute_unit_plan`, which the batch
+  study and the stream's finalize both run): it copies the plan's panel
+  into a block with :meth:`SharedFrameArena.share_panel` — each task
+  then carries a :class:`SharedPanelRef` (the matrix's
+  :class:`SharedArrayRef` plus the time and unit labels) — and packs
+  the pre-factored fit slabs into more blocks;
+- the campaign scheduler, which shares every scenario's panel through
+  one arena for the whole campaign.
 
 A :class:`SharedArrayRef` holds a block's name and shape, so a block is
 raw float64 data only and a worker-side ``load()`` is a bare attach
@@ -34,7 +36,6 @@ from __future__ import annotations
 
 import os
 import secrets
-from collections.abc import Callable
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 
@@ -218,13 +219,11 @@ class SharedPanelRef:
 class SharedFrameArena:
     """Parent-side owner of a set of named float64 shared-memory blocks.
 
-    One arena per pipeline stage (a generated measurement frame, a CSV
-    import, a study's panel, its pre-factored fit slabs): every
-    :meth:`allocate` call creates one named block whose uninitialised
-    array view the caller fills in place — frame columns seal straight
-    into it through :meth:`column_alloc`, the pivot and the fit engine
-    write directly.  :meth:`close` unlinks every block exactly once
-    (idempotent); live views — the parent's own arrays, attached
+    One arena per fit stage (a study's panel and pre-factored fit
+    slabs) or campaign (its scenarios' panels): every :meth:`allocate`
+    call creates one named block whose uninitialised array view the
+    caller fills in place.  :meth:`close` unlinks every block exactly
+    once (idempotent); live views — the parent's own arrays, attached
     workers — stay valid until dropped, the POSIX ``shm_unlink``
     contract.
     """
@@ -260,39 +259,19 @@ class SharedFrameArena:
         self._blocks.append((str(label), shm, ref))
         return view
 
-    def column_alloc(self, tag: str) -> "Callable[[str, int], np.ndarray]":
-        """An ``alloc(name, length)`` hook for ``FrameBuilder.build``.
-
-        Each float column the builder seals lands in its own arena
-        block labelled ``<tag>.<column>`` — the frame's numeric storage
-        then lives in shared memory with no seal-time copy.
-        """
-
-        def alloc(name: str, length: int) -> np.ndarray:
-            return self.allocate(f"{tag}.{name}", (length,))
-
-        return alloc
-
     def share_panel(self, panel: Panel) -> tuple[Panel, SharedPanelRef]:
-        """*panel* backed by one of this arena's blocks, and its task ref.
+        """A copy of *panel* in a new block of this arena, and its task ref.
 
-        A panel the pivot sealed into this arena (``matrix_factory=``)
-        is used as is; any other matrix — a streamed panel, a chaos
-        fault's corrupted copy — is copied into a new block, so pool
-        workers read exactly the bytes the parent holds.
+        Pool workers then read exactly the bytes the parent holds.
         """
-        for _label, shm, ref in self._blocks:
-            hit = _ATTACHED_ARRAYS.get(shm.name)
-            if hit is not None and hit[1] is panel.matrix:
-                break
-        else:
-            matrix = self.allocate("panel", panel.matrix.shape)
-            np.copyto(matrix, panel.matrix)
-            panel = Panel(times=panel.times, units=panel.units, matrix=matrix)
-            ref = self._blocks[-1][2]
-        return panel, SharedPanelRef(
-            matrix=ref, times=tuple(panel.times), units=tuple(panel.units)
+        matrix = self.allocate("panel", panel.matrix.shape)
+        np.copyto(matrix, panel.matrix)
+        ref = SharedPanelRef(
+            matrix=self._blocks[-1][2],
+            times=tuple(panel.times),
+            units=tuple(panel.units),
         )
+        return Panel(times=panel.times, units=panel.units, matrix=matrix), ref
 
     def ref(self, label: str) -> SharedArrayRef:
         """The picklable reference of the first block labelled *label*."""
@@ -300,10 +279,6 @@ class SharedFrameArena:
             if block_label == label:
                 return ref
         raise PipelineError(f"arena {self._tag!r} has no array labelled {label!r}")
-
-    def refs(self) -> tuple[tuple[str, SharedArrayRef], ...]:
-        """Every block's ``(label, ref)``, in allocation order."""
-        return tuple((label, ref) for label, _shm, ref in self._blocks)
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -313,13 +288,13 @@ class SharedFrameArena:
     def close(self) -> None:
         """Unlink every block (idempotent); live views stay valid.
 
-        Sealed frame columns, panels and prefactor slabs routinely
-        outlive the arena (a generated frame is *used* after generation
-        finishes), and numpy views do not register buffer exports, so
-        an eager ``SharedMemory.close()`` would silently unmap pages
-        under them.  Instead each handle is *defused*: the name is
-        unlinked (the ``/dev/shm`` entry disappears — what the leak
-        tests assert) and the descriptor closed, while the mapping
+        Panels and prefactor slabs can outlive the arena (the parent
+        may still hold a shared panel's view), and numpy views do not
+        register buffer exports, so an eager ``SharedMemory.close()``
+        would silently unmap pages under them.  Instead each handle is
+        *defused*: the name is unlinked (the ``/dev/shm`` entry
+        disappears — what the leak tests assert) and the descriptor
+        closed, while the mapping
         itself stays owned by the views through their
         ``ndarray.base -> mmap`` chain and is unmapped by the garbage
         collector when the last view dies.

@@ -15,7 +15,6 @@ identical :class:`StudyResult`.
 
 from __future__ import annotations
 
-import functools
 import logging
 import time
 from dataclasses import dataclass, field, replace
@@ -348,21 +347,18 @@ def prepare_unit_plan(
     method: str = "robust",
     max_placebos: int | None = None,
     fit_kwargs: tuple[tuple[str, object], ...] = (),
-    task_panel: Panel | SharedPanelRef | None = None,
 ) -> list[tuple[str, str] | _UnitTask]:
     """Screen treated units into an ordered plan of fits and skips.
 
     The cheap shape screens (label parse, pre/post-period counts) run
     inline here; every surviving unit becomes a picklable
-    :class:`_UnitTask` carrying *task_panel* — the in-process panel by
-    default, a :class:`SharedPanelRef` when the fits will fan out.
-    Both the batch study and the streaming engine's finalize build
-    their plans here, which is what keeps their rows bit-identical:
-    given equal panels and assignments, the plans (and therefore every
-    downstream fit) are equal.
+    :class:`_UnitTask` carrying the in-process *panel*
+    (:func:`execute_unit_plan` swaps in a :class:`SharedPanelRef` when
+    the fits fan out).  Both the batch study and the streaming engine's
+    finalize build their plans here, which is what keeps their rows
+    bit-identical: given equal panels and assignments, the plans (and
+    therefore every downstream fit) are equal.
     """
-    if task_panel is None:
-        task_panel = panel
     treated = assignment.treated_units
     plan: list[tuple[str, str] | _UnitTask] = []
     for unit in treated:
@@ -386,7 +382,7 @@ def prepare_unit_plan(
                 unit=unit,
                 pre_periods=pre_periods,
                 post_periods=post_periods,
-                panel=task_panel,
+                panel=panel,
                 excluded=tuple(treated),
                 max_donor_missing=max_donor_missing,
                 method=method,
@@ -415,17 +411,18 @@ def execute_unit_plan(
     :class:`~repro.pipeline.checkpoint.StudyCheckpoint` (the caller
     owns its lifecycle): units already journaled are served from
     ``checkpoint.completed`` and each fresh outcome is appended the
-    moment it lands.  Fan-out follows the batch study's contract —
-    order-stable results, each pooled task attaching its
-    :class:`SharedPanelRef` — so serial and pooled runs return
-    identical rows.
+    moment it lands.  Results are order-stable, so serial and pooled
+    runs return identical rows.
 
     A planning pass first batch-factors every robust unit's donor
     matrix across units — one stacked SVD per matrix shape
     (:func:`~repro.pipeline.prefactor.prefactor_unit_plan`) — and each
-    task carries its unit's factorization into the fit: the in-process
-    object on the serial path, a :class:`PrefactorRef` into
-    shared-memory slabs on a pool.  A single unit is a group of one.
+    task carries its unit's factorization into the fit.  Serial tasks
+    carry the in-process panel and factorization objects.  On a pool
+    this is the one place a study's data enters shared memory: one
+    arena receives a copy of the panel and the prefactor slabs, and
+    each task carries a :class:`SharedPanelRef` and a
+    :class:`PrefactorRef` instead.  A single unit is a group of one.
     """
     fit_units = [step for step in plan if isinstance(step, _UnitTask)]
     completed: dict[str, StudyRow | tuple[str, str]] = (
@@ -448,17 +445,16 @@ def execute_unit_plan(
     ):
         try:
             if tasks:
-                first = tasks[0].panel
-                plan_panel = (
-                    first.load() if isinstance(first, SharedPanelRef) else first
-                )
+                panel = tasks[0].panel
                 prefactors: dict[str, UnitPrefactor] | dict[str, PrefactorRef]
-                prefactors = prefactor_unit_plan(plan_panel, tasks)
-                if prefactors and resolve_n_jobs(n_jobs) > 1:
-                    arena = SharedFrameArena(tag="prefactor")
+                prefactors = prefactor_unit_plan(panel, tasks)
+                task_panel: Panel | SharedPanelRef = panel
+                if resolve_n_jobs(n_jobs) > 1:
+                    arena = SharedFrameArena(tag="fits")
+                    _, task_panel = arena.share_panel(panel)
                     prefactors = publish_prefactors(prefactors, arena)
                 tasks = [
-                    replace(t, prefactor=prefactors.get(t.unit))
+                    replace(t, panel=task_panel, prefactor=prefactors.get(t.unit))
                     for t in tasks
                 ]
             # Pool workers attach the panel and prefactor blocks on a
@@ -551,32 +547,14 @@ def run_ixp_study(
         assignment = assign_treatment(measurements, ixp_name)
         assignment = fault_point("study.assignment", key=ixp_name, value=assignment)
         t1 = time.perf_counter()
-        # With a process pool ahead, the pivot scatters the panel matrix
-        # straight into an arena block; tasks then carry a SharedPanelRef
-        # instead of the panel, so the pool pickles the labels, not
-        # O(tasks x matrix) bytes.  Serial runs keep a plain array.
-        arena = SharedFrameArena(tag="panel") if resolve_n_jobs(n_jobs) > 1 else None
+        panel = rtt_panel(measurements, period="day", outcome=outcome)
+        # A chaos fault may swap in a corrupted copy here; the plan's
+        # tasks carry whatever panel this is, so pool workers analyse
+        # exactly what a serial run would.
+        panel = fault_point("study.panel", key=ixp_name, value=panel)
+        t2 = time.perf_counter()
         ckpt = None
-        rows: list[StudyRow] = []
-        skipped: list[tuple[str, str]] = []
         try:
-            panel = rtt_panel(
-                measurements,
-                period="day",
-                outcome=outcome,
-                matrix_factory=(
-                    functools.partial(arena.allocate, "panel") if arena else None
-                ),
-            )
-            panel = fault_point("study.panel", key=ixp_name, value=panel)
-            task_panel: Panel | SharedPanelRef = panel
-            if arena is not None:
-                # A chaos fault may have swapped in a corrupted copy;
-                # share_panel copies it into a new block so pool workers
-                # analyse exactly what a serial run would.
-                panel, task_panel = arena.share_panel(panel)
-            t2 = time.perf_counter()
-
             fit_kwargs: dict[str, object] = {}
             if method == "robust":
                 fit_kwargs = {"energy": energy, "ridge": ridge}
@@ -591,7 +569,6 @@ def run_ixp_study(
                 method=method,
                 max_placebos=max_placebos,
                 fit_kwargs=tuple(sorted(fit_kwargs.items())),
-                task_panel=task_panel,
             )
 
             # Units already journaled in a resumed checkpoint are served from
@@ -616,8 +593,6 @@ def run_ixp_study(
         finally:
             if ckpt is not None:
                 ckpt.close()
-            if arena is not None:
-                arena.close()
         t3 = time.perf_counter()
         study_sp.set(n_rows=len(rows), n_skipped=len(skipped))
 

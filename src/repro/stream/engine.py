@@ -34,8 +34,7 @@ from repro.chaos.runtime import fault_point
 from repro.errors import CheckpointError, PipelineError
 from repro.obs import COUNT_BUCKETS, SECONDS_BUCKETS, get_metrics, span
 from repro.pipeline.checkpoint import StudyCheckpoint
-from repro.pipeline.executor import RetryPolicy, resolve_n_jobs
-from repro.pipeline.shm import SharedFrameArena
+from repro.pipeline.executor import RetryPolicy
 from repro.pipeline.study import (
     StudyResult,
     StudyRow,
@@ -281,14 +280,10 @@ class StreamStudy:
             n_jobs = self._n_jobs
         assignment = self._assign_acc.assignment()
         panel = self._panel_acc.panel
-        arena = SharedFrameArena(tag="panel") if resolve_n_jobs(n_jobs) > 1 else None
+        fit_kwargs: dict[str, object] = {}
+        if self._method == "robust":
+            fit_kwargs = {"energy": self._energy, "ridge": self._ridge}
         try:
-            task_panel = panel
-            if arena is not None:
-                panel, task_panel = arena.share_panel(panel)
-            fit_kwargs: dict[str, object] = {}
-            if self._method == "robust":
-                fit_kwargs = {"energy": self._energy, "ridge": self._ridge}
             with span("finalize", ixp=self.ixp_name, n_jobs=n_jobs):
                 plan = prepare_unit_plan(
                     panel,
@@ -299,7 +294,6 @@ class StreamStudy:
                     method=self._method,
                     max_placebos=self._max_placebos,
                     fit_kwargs=tuple(sorted(fit_kwargs.items())),
-                    task_panel=task_panel,
                 )
                 rows, skipped = execute_unit_plan(
                     plan,
@@ -308,8 +302,6 @@ class StreamStudy:
                     checkpoint=self._ckpt,
                 )
         finally:
-            if arena is not None:
-                arena.close()
             self.close()
         result = StudyResult(
             rows=tuple(rows), assignment=assignment, skipped=tuple(skipped)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from functools import cached_property
 from typing import Any
 
@@ -162,7 +162,6 @@ def build_panel(
     time: str,
     outcome: str,
     agg: str = "median",
-    matrix_factory: "Callable[[tuple[int, int]], np.ndarray] | None" = None,
 ) -> Panel:
     """Pivot long-format rows into a times x units panel.
 
@@ -171,12 +170,6 @@ def build_panel(
     grouped-median grid from :func:`repro.frames.groupby.pivot_grid` is
     used directly, with the time sort folded into the scatter
     (``sort_index=True``) so there is no final row-gather copy.
-
-    *matrix_factory*, when given, allocates the panel matrix:
-    ``factory(shape)`` must return a float64 array of ``shape`` for the
-    pivot to scatter into.  The study pipeline passes a shared-memory
-    allocator here so the panel seals directly into the block
-    process-pool workers attach to.
     """
     time_keys, unit_keys, grid = pivot_grid(
         data,
@@ -185,7 +178,6 @@ def build_panel(
         values=outcome,
         agg=agg,
         sort_index=True,
-        grid_factory=matrix_factory,
     )
     return Panel(
         times=tuple(time_keys), units=tuple(str(k) for k in unit_keys), matrix=grid

@@ -1,4 +1,4 @@
-"""The shared-memory Frame arena (PR 8's tentpole, data-plane half).
+"""The shared-memory arena and its owner, the study's fit stage.
 
 What these tests pin down:
 
@@ -6,12 +6,12 @@ What these tests pin down:
   drain from ``/dev/shm`` on close, close is idempotent, views handed
   out stay valid after close, allocation after close and attaching to
   an unlinked ref both fail loudly;
-- arena-backed frame production is bit-identical to the private-memory
-  path, for the generator (``measurements_frame``), the CSV importer,
-  and the streaming replay driver;
-- the batched study drains **everything** it allocates — panel block
-  plus the prefactor arena — after a normal parallel run, after a
-  ``BrokenProcessPool`` rebuild, and after a mid-study exception;
+- :func:`execute_unit_plan` is the one place a study's panel enters
+  shared memory: a plan of in-process tasks runs pooled with rows and
+  skips bit-identical to serial and to the oracle, and the fit stage's
+  one arena (panel block plus prefactor slabs) drains after a normal
+  pooled run, after a ``BrokenProcessPool`` rebuild, and after a
+  mid-map exception;
 - chaos fault logs are identical serial vs pooled on the batched/arena
   path, and against the private-SVD oracle (``tests/oracle.py``), so
   the fast path cannot hide or reorder injected faults.
@@ -24,18 +24,25 @@ import numpy as np
 import pytest
 
 from repro.chaos import FaultPlan, FaultSpec, active_plan, clear_events, fault_events
-from repro.errors import InjectedFault, PipelineError, PlatformError
-from repro.frames.builder import FrameBuilder
-from repro.mplatform.speedtest import measurements_frame
+from repro.errors import InjectedFault, PipelineError
+from repro.pipeline import study
+from repro.pipeline.aggregate import rtt_panel
+from repro.pipeline.crossing import assign_treatment
 from repro.pipeline.executor import RetryPolicy
 from repro.pipeline.shm import (
     ARENA_PREFIX,
     SharedFrameArena,
+    SharedPanelRef,
     live_arena_blocks,
 )
-from repro.pipeline.study import run_ixp_study
-from repro.stream.batches import replay_scenario
-from tests.oracle import oracle_study
+from repro.pipeline.study import (
+    _UnitTask,
+    execute_unit_plan,
+    prepare_unit_plan,
+    run_ixp_study,
+)
+from repro.synthcontrol.donor import Panel
+from tests.oracle import FIT_KWARGS, oracle_study
 
 SEED = int(os.environ.get("CHAOS_SEED", "7"))
 RETRY = RetryPolicy(max_attempts=3, base_delay=0.0)
@@ -46,16 +53,6 @@ def _shm_entries() -> list[str]:
     if not os.path.isdir("/dev/shm"):  # pragma: no cover - non-tmpfs host
         return []
     return [p for p in os.listdir("/dev/shm") if p.startswith(ARENA_PREFIX)]
-
-
-def _float_columns(frame) -> dict[str, np.ndarray]:
-    from repro.frames.frame import KIND_OBJECT
-
-    return {
-        name: frame.numeric(name)
-        for name in frame.column_names
-        if frame.column(name).kind != KIND_OBJECT
-    }
 
 
 @pytest.fixture(autouse=True)
@@ -142,79 +139,68 @@ class TestArenaLifecycle:
             assert block.shape == (0,)
             assert arena.ref("empty").load().shape == (0,)
 
-    def test_column_alloc_feeds_a_frame_builder(self):
-        with SharedFrameArena(tag="t") as arena:
-            builder = FrameBuilder()
-            builder.append_chunk({"rtt_ms": [1.5, 2.5, 3.5]})
-            frame = builder.build(alloc=arena.column_alloc("unit-test"))
-            assert arena.names  # the float column landed in the arena
-            np.testing.assert_array_equal(
-                frame.numeric("rtt_ms"), [1.5, 2.5, 3.5]
-            )
-
-
-class TestArenaBackedFrames:
-    def test_generator_output_is_bit_identical(self, small_scenario):
-        plain = measurements_frame(small_scenario, rng=3)
-        with SharedFrameArena(tag="gen") as arena:
-            shared = measurements_frame(small_scenario, rng=3, arena=arena)
-            assert arena.names  # float columns really landed in blocks
-            assert shared.column_names == plain.column_names
-            assert shared.num_rows == plain.num_rows
-            for name, values in _float_columns(plain).items():
-                np.testing.assert_array_equal(
-                    shared.numeric(name), values, err_msg=name
-                )
-        assert live_arena_blocks() == ()
-
-    def test_scalar_mode_refuses_an_arena(self, small_scenario):
-        with SharedFrameArena(tag="gen") as arena:
-            with pytest.raises(PlatformError, match="mode='batch'"):
-                measurements_frame(
-                    small_scenario, rng=3, mode="scalar", arena=arena
-                )
-
-    def test_replay_scenario_threads_the_arena(self, small_scenario):
-        plain_frame, plain_batches = replay_scenario(small_scenario, rng=3, n_batches=4)
-        with SharedFrameArena(tag="stream") as arena:
-            frame, batches = replay_scenario(
-                small_scenario, rng=3, n_batches=4, arena=arena
-            )
-            assert arena.names
-            assert len(batches) == len(plain_batches)
-            for name, values in _float_columns(plain_frame).items():
-                np.testing.assert_array_equal(frame.numeric(name), values)
-
-    def test_csv_import_is_bit_identical(self, tmp_path):
-        from repro.pipeline.importer import import_csv
-
-        csv = tmp_path / "m.csv"
-        csv.write_text(
-            "asn,city,time_hour,rtt_ms\n"
-            "100,cpt,0.0,42.5\n"
-            "100,cpt,1.0,\n"
-            "101,jnb,2.0,37.25\n"
-        )
-        plain = import_csv(csv)
-        with SharedFrameArena(tag="import") as arena:
-            shared = import_csv(csv, arena=arena)
-            assert arena.names
-            for name, values in _float_columns(plain).items():
-                np.testing.assert_array_equal(shared.numeric(name), values)
-
-    def test_study_on_an_arena_backed_frame_matches(
-        self, small_frame, small_scenario
-    ):
-        reference = run_ixp_study(small_frame, small_scenario.ixp_name)
-        with SharedFrameArena(tag="gen") as arena:
-            shared = measurements_frame(small_scenario, rng=3, arena=arena)
-            result = run_ixp_study(shared, small_scenario.ixp_name)
-        assert result.rows == reference.rows
-        assert result.skipped == reference.skipped
-        assert live_arena_blocks() == ()
+def _unit_plan(frame, ixp_name: str) -> tuple[Panel, list]:
+    """The panel and ``prepare_unit_plan``'s plan, whose tasks all carry it."""
+    panel = rtt_panel(frame, period="day", outcome="rtt_ms")
+    plan = prepare_unit_plan(
+        panel, assign_treatment(frame, ixp_name), fit_kwargs=FIT_KWARGS
+    )
+    tasks = [step for step in plan if isinstance(step, _UnitTask)]
+    assert tasks and all(t.panel is panel for t in tasks)
+    return panel, plan
 
 
 class TestStudyDrainsItsArena:
+    def test_pooled_unit_plan_matches_serial_and_oracle(
+        self, small_frame, small_scenario, monkeypatch
+    ):
+        panel, plan = _unit_plan(small_frame, small_scenario.ixp_name)
+        mapped: dict[int, list] = {}
+        get_executor = study.get_executor
+
+        def spy(n_jobs, **kwargs):
+            executor = get_executor(n_jobs, **kwargs)
+            map_ = executor.map
+
+            def map(fn, tasks, **kw):
+                mapped[n_jobs] = list(tasks)
+                return map_(fn, tasks, **kw)
+
+            executor.map = map
+            return executor
+
+        monkeypatch.setattr(study, "get_executor", spy)
+        before = set(_shm_entries())
+        serial_rows, serial_skips = execute_unit_plan(plan, n_jobs=1)
+        pooled_rows, pooled_skips = execute_unit_plan(plan, n_jobs=2)
+        # Serial tasks keep the plan's panel; pooled ones carry a ref to
+        # the fit stage's one copy of it.
+        assert all(t.panel is panel for t in mapped[1])
+        refs = {t.panel for t in mapped[2]}
+        assert len(refs) == 1
+        (ref,) = refs
+        assert isinstance(ref, SharedPanelRef)
+        assert (ref.times, ref.units) == (panel.times, panel.units)
+        assert pooled_rows == serial_rows
+        assert pooled_skips == serial_skips
+        oracle = oracle_study(small_frame, small_scenario.ixp_name)
+        assert tuple(pooled_rows) == oracle.rows
+        assert tuple(pooled_skips) == oracle.skipped
+        assert live_arena_blocks() == ()
+        assert set(_shm_entries()) <= before
+
+    def test_pooled_unit_plan_drains_after_a_mid_map_exception(
+        self, small_frame, small_scenario
+    ):
+        _panel, plan = _unit_plan(small_frame, small_scenario.ixp_name)
+        fault = FaultPlan(SEED, (FaultSpec(site="fits.unit", kind="error"),))
+        before = set(_shm_entries())
+        with active_plan(fault):
+            with pytest.raises(InjectedFault):
+                execute_unit_plan(plan, n_jobs=2)
+        assert live_arena_blocks() == ()
+        assert set(_shm_entries()) <= before
+
     def test_normal_batched_parallel_study_drains_shm(
         self, small_frame, small_scenario
     ):
@@ -287,21 +273,3 @@ class TestChaosParityOnTheFastPath:
             plain_log = fault_events()
         assert batched.rows == plain.rows
         assert batched_log == plain_log
-
-    def test_arena_backed_generation_keeps_fault_parity(self, small_scenario):
-        plan = FaultPlan(
-            SEED,
-            (FaultSpec(site="study.panel", kind="corrupt", corruption="nan_cell"),),
-        )
-        with active_plan(plan):
-            with SharedFrameArena(tag="gen") as arena:
-                shared = measurements_frame(small_scenario, rng=3, arena=arena)
-                pooled = run_ixp_study(shared, small_scenario.ixp_name, n_jobs=2)
-            pooled_log = fault_events()
-            clear_events()
-            plain = measurements_frame(small_scenario, rng=3)
-            serial = run_ixp_study(plain, small_scenario.ixp_name, n_jobs=1)
-            serial_log = fault_events()
-        assert pooled.rows == serial.rows
-        assert pooled_log == serial_log
-        assert live_arena_blocks() == ()

@@ -151,59 +151,3 @@ class TestFrameBuilder:
             b.append_chunk({"x": [1], "z": [2]})
         with pytest.raises(FrameError, match="unexpected.*'z'"):
             b.append_chunk({"x": [1], "y": [2], "z": [3]})
-
-
-class TestSealIntoBuffer:
-    def test_column_seals_into_caller_buffer_zero_copy(self):
-        b = ColumnBuilder("x")
-        b.append_chunk(np.array([1.0, 2.0]))
-        b.append_chunk(np.array([3.0]))
-        buf = np.empty(3, dtype=np.float64)
-        col = b.build(into=buf)
-        assert col.values is buf  # the buffer *is* the column's storage
-        np.testing.assert_array_equal(buf, [1.0, 2.0, 3.0])
-
-    def test_int_chunks_widen_while_sealing_into_float_buffer(self):
-        b = ColumnBuilder("x")
-        b.append_chunk([1, 2])
-        b.append_chunk([3.5])
-        buf = np.empty(3, dtype=np.float64)
-        col = b.build(into=buf)
-        assert col.kind == KIND_FLOAT
-        np.testing.assert_array_equal(buf, [1.0, 2.0, 3.5])
-
-    def test_non_float_column_refuses_a_buffer(self):
-        b = ColumnBuilder("x")
-        b.append_chunk(["a", "b"])
-        with pytest.raises(FrameError, match="only float"):
-            b.build(into=np.empty(2, dtype=np.float64))
-
-    def test_wrong_buffer_shape_or_dtype_rejected(self):
-        b = ColumnBuilder("x")
-        b.append_chunk(np.array([1.0, 2.0]))
-        with pytest.raises(FrameError, match="length 2"):
-            b.build(into=np.empty(3, dtype=np.float64))
-        with pytest.raises(FrameError, match="float64"):
-            b.build(into=np.empty(2, dtype=np.int64))
-
-    def test_frame_builder_alloc_targets_float_columns_only(self):
-        fb = FrameBuilder(["x", "label"])
-        fb.append_chunk({"x": np.array([1.0, 2.0]), "label": ["a", "b"]})
-        fb.append_chunk({"x": np.array([3.0]), "label": ["c"]})
-        backing: dict[str, np.ndarray] = {}
-
-        def alloc(name: str, length: int) -> np.ndarray:
-            backing[name] = np.empty(length, dtype=np.float64)
-            return backing[name]
-
-        frame = fb.build(alloc=alloc)
-        assert set(backing) == {"x"}  # the object column never saw alloc
-        assert frame.column("x").values is backing["x"]
-        np.testing.assert_array_equal(backing["x"], [1.0, 2.0, 3.0])
-        assert list(frame["label"]) == ["a", "b", "c"]
-
-    def test_alloc_returning_none_keeps_the_concatenate_path(self):
-        fb = FrameBuilder(["x"])
-        fb.append_chunk({"x": np.array([1.0, 2.0])})
-        frame = fb.build(alloc=lambda name, length: None)
-        np.testing.assert_array_equal(frame["x"], [1.0, 2.0])

@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import io
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -121,25 +120,6 @@ def test_over_wide_rows_raise_frame_error_only(text):
             oracle_read_csv_text(text)
     else:
         _check_against_reference(text)
-
-
-@given(csv_texts())
-@settings(max_examples=100, deadline=None)
-def test_float_columns_land_in_the_callers_buffers(text):
-    buffers: dict[str, np.ndarray] = {}
-
-    def alloc(name: str, length: int) -> np.ndarray:
-        buffers[name] = np.empty(length)
-        return buffers[name]
-
-    got, err = _outcome(lambda t: read_csv_text(t, alloc=alloc), text)
-    if got is None:
-        return
-    floats = {c for c in got.column_names if got.column(c).kind == KIND_FLOAT}
-    assert set(buffers) == floats
-    for name in floats:
-        assert got[name] is buffers[name]
-    assert_frames_identical(got, read_csv_text(text))
 
 
 def test_integers_beyond_int64_read_without_crashing():

@@ -269,9 +269,20 @@ class TestColumnwiseMatchesRowwise:
         assert set(out["ixps"]) == {"", "NAPAfrica-JNB", "NAPAfrica-CPT,NAPAfrica-JNB"}
 
     def test_non_finite_time_hour_is_a_typed_error(self):
-        raw = read_csv_text("asn,city,time_hour,rtt_ms\n1,A,inf,3.0\n1,A,2.0,3.0\n")
-        with pytest.raises(FrameError, match="time_hour"):
-            normalise_measurements(raw)
+        # A finite hour whose day overflows int64 is as unusable as inf.
+        for bad in ("inf", "-inf", "1e23", "-1e23", "2.2136092888451462e20"):
+            raw = read_csv_text(
+                f"asn,city,time_hour,rtt_ms\n1,A,{bad},3.0\n1,A,2.0,3.0\n"
+            )
+            with pytest.raises(FrameError, match="time_hour"):
+                normalise_measurements(raw)
+        # Large hours whose days still fit int64 import exactly.
+        raw = read_csv_text(
+            "asn,city,time_hour,rtt_ms\n1,A,1e17,3.0\n1,A,-2.2136092888451462e20,3.0\n"
+        )
+        out = normalise_measurements(raw)
+        assert out["day"].tolist() == [int(1e17 // 24), -(2**63)]
+        assert_frames_identical(out, oracle_normalise_measurements(raw))
 
 
 def test_study_import_path_loads_no_scipy():

@@ -94,10 +94,14 @@ class TestSharedPanelBlock:
             shared, ref = arena.share_panel(panel)
             shared.matrix[0, 0] = 123.0
             assert ref.load().matrix[0, 0] == 123.0
-            # A panel already in one of the arena's blocks is not copied.
+            # The source panel is untouched, and every share copies into
+            # a new block, even of a panel already in this arena.
+            assert panel.matrix[0, 0] != 123.0
             again, ref_again = arena.share_panel(shared)
-            assert again is shared and ref_again == ref
-            assert len(arena.names) == 1
+            assert again.matrix is not shared.matrix
+            assert ref_again.matrix.name != ref.matrix.name
+            np.testing.assert_array_equal(again.matrix, shared.matrix)
+            assert len(arena.names) == 2
 
     def test_attach_after_unlink_raises(self):
         arena = SharedFrameArena(tag="test-panel")
